@@ -27,7 +27,7 @@ void BM_LoneProcessAdvance(benchmark::State& state) {
     }
     state.SetItemsProcessed(state.iterations() * steps);
 }
-BENCHMARK(BM_LoneProcessAdvance)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_LoneProcessAdvance)->Arg(1000)->Arg(10000)->UseRealTime();
 
 void BM_PingPongContextSwitch(benchmark::State& state) {
     // Worst case: two processes alternating at every step (full handoffs).
@@ -45,7 +45,7 @@ void BM_PingPongContextSwitch(benchmark::State& state) {
     }
     state.SetItemsProcessed(state.iterations() * steps * 2);
 }
-BENCHMARK(BM_PingPongContextSwitch)->Arg(500)->Arg(2000);
+BENCHMARK(BM_PingPongContextSwitch)->Arg(500)->Arg(2000)->UseRealTime();
 
 void BM_EventSignalWake(benchmark::State& state) {
     // Two-event rendezvous: each event is reset by its waiter after
@@ -74,7 +74,7 @@ void BM_EventSignalWake(benchmark::State& state) {
     }
     state.SetItemsProcessed(state.iterations() * rounds);
 }
-BENCHMARK(BM_EventSignalWake)->Arg(200);
+BENCHMARK(BM_EventSignalWake)->Arg(200)->UseRealTime();
 
 void BM_QueueThroughput(benchmark::State& state) {
     const auto items = state.range(0);
@@ -96,7 +96,7 @@ void BM_QueueThroughput(benchmark::State& state) {
     }
     state.SetItemsProcessed(state.iterations() * items);
 }
-BENCHMARK(BM_QueueThroughput)->Arg(1000);
+BENCHMARK(BM_QueueThroughput)->Arg(1000)->UseRealTime();
 
 } // namespace
 

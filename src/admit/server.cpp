@@ -1,6 +1,7 @@
 #include "admit/server.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "obs/obs.hpp"
 #include "offload/runtime.hpp"
@@ -187,6 +188,7 @@ void server::close(session_id sid) {
     s.met->queue_depth->add(-static_cast<std::int64_t>(s.queue.size()));
     queued_total_ -= s.queue.size();
     s.queue.clear();
+    active_.erase(sid);
     AURORA_TRACE("admit", "session " << sid << " closed");
 }
 
@@ -319,6 +321,9 @@ request server::submit_serialized(session_id sid, std::vector<std::byte> msg,
     r->topts.cost_ns = ro.cost_ns;
     r->topts.deadline_ns = r->deadline_ns;
     s.queue.push_back(r);
+    if (s.queue.size() == 1) {
+        active_.emplace(sid, &s);
+    }
     ++queued_total_;
     s.met->queue_depth->add(1);
     ++s.admitted;
@@ -347,7 +352,8 @@ void server::expire_request(session_rec& s, const request_ptr& r) {
 bool server::expire_queued() {
     const sim::time_ns now = sim::now();
     bool progress = false;
-    for (auto& [sid, s] : sessions_) {
+    for (auto ait = active_.begin(); ait != active_.end();) {
+        session_rec& s = *ait->second;
         for (auto it = s.queue.begin(); it != s.queue.end();) {
             const request_ptr& r = *it;
             if (r->deadline_ns > 0 && now >= r->deadline_ns) {
@@ -360,6 +366,7 @@ bool server::expire_queued() {
                 ++it;
             }
         }
+        ait = s.queue.empty() ? active_.erase(ait) : std::next(ait);
     }
     return progress;
 }
@@ -375,23 +382,27 @@ bool server::dispatch_queued() {
     // one. A turn grants the session `weight` dispatch credits; when the
     // window fills mid-turn the leftover credit persists and the cursor
     // stays before the session, so it resumes first once room frees —
-    // weights hold even when capacity opens one slot at a time. Iteration
-    // order over the session map is deterministic.
+    // weights hold even when capacity opens one slot at a time. Only the
+    // sessions with queued work are visited, in sid order; a cursor naming a
+    // session that has since left the index still resumes after its sid.
     for (std::size_t c = 0; c < num_qos_classes; ++c) {
         const auto cls = static_cast<qos_class>(c);
         bool round_progress = true;
         while (round_progress && exec_room() > 0) {
             round_progress = false;
-            // One full rotation starting after the cursor.
-            auto start = sessions_.upper_bound(rr_after_[c]);
-            for (std::size_t step = 0;
-                 step < sessions_.size() && exec_room() > 0; ++step) {
-                if (start == sessions_.end()) {
-                    start = sessions_.begin();
+            // One full rotation starting after the cursor. Only the session
+            // being visited can leave the index, after `start` moved past it,
+            // so the size at rotation start bounds the rotation.
+            auto start = active_.upper_bound(rr_after_[c]);
+            const std::size_t rotation = active_.size();
+            for (std::size_t step = 0; step < rotation && exec_room() > 0;
+                 ++step) {
+                if (start == active_.end()) {
+                    start = active_.begin();
                 }
                 auto it = start++;
-                session_rec& s = it->second;
-                if (s.opts.cls != cls || s.queue.empty()) {
+                session_rec& s = *it->second;
+                if (s.opts.cls != cls) {
                     continue;
                 }
                 if (s.quantum == 0) {
@@ -442,6 +453,9 @@ bool server::dispatch_queued() {
                 }
                 s.quantum = 0;
                 rr_after_[c] = it->first;
+                if (s.queue.empty()) {
+                    active_.erase(it);
+                }
             }
         }
     }

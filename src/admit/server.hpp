@@ -201,7 +201,7 @@ private:
     /// Reject with admission_error after counting the shed per tenant/server.
     [[noreturn]] void shed(session_rec& s, const std::string& why,
                            std::int64_t retry_after_ns);
-    /// Deadline sweep over every session queue (cancel + settle + count).
+    /// Deadline sweep over the queued sessions (cancel + settle + count).
     bool expire_queued();
     /// Settle one queued request as expired (never dispatched).
     void expire_request(session_rec& s, const request_ptr& r);
@@ -219,7 +219,12 @@ private:
     sched::executor exec_;
     std::size_t num_targets_ = 0;
     std::size_t dispatch_window_ = 0; ///< resolved cfg_.dispatch_window
+    /// Every session ever opened; closed ones stay only to answer stats().
     std::map<session_id, session_rec> sessions_;
+    /// The sessions whose queue is non-empty, all classes, in sid order.
+    /// Expiry and dispatch walk only these, so a poll costs O(sessions with
+    /// queued work), however many sessions were opened and closed before.
+    std::map<session_id, session_rec*> active_;
     session_id next_sid_ = 1;
     std::uint64_t next_serial_ = 1;
     std::size_t open_sessions_ = 0;

@@ -2,10 +2,12 @@
 // priority-aware occupancy shedding, strict class priority and weighted
 // fair-share dispatch order, deadline propagation (queued and scheduler
 // paths), failure isolation, the per-target breaker lifecycle through the
-// serving path, and whole-run determinism.
+// serving path, dispatch order under session churn, and whole-run
+// determinism.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "tests/admit/admit_test_common.hpp"
@@ -443,6 +445,110 @@ TEST(AdmitServer, ClosingSessionWithQueuedProbeUnwedgesBreaker) {
         EXPECT_NO_THROW(probe.get());
         EXPECT_EQ(srv.breaker_of(1), breaker_state::closed);
         EXPECT_EQ(counter, 1u);
+    });
+}
+
+TEST(AdmitServer, DispatchOrderUnchangedByClosedSessionChurn) {
+    run_sched(2, [] {
+        // Window 2 under weights up to 3: the window fills mid-turn, so DRR
+        // credit and the per-class cursors carry across polls while ~1000
+        // sessions open and close around nine live ones.
+        server srv(small_cfg(4096, 2));
+        std::vector<int> log;
+        std::vector<session_id> live;
+        std::vector<session_id> all;
+        std::map<session_id, std::uint64_t> rejected;
+        auto submit = [&](session_id sid, int tag, request_options ro = {}) {
+            try {
+                (void)srv.submit(sid, ham::f2f<&tk::record>(&log, tag), ro);
+            } catch (const admission_error&) {
+                ++rejected[sid];
+            }
+        };
+        int churn_tag = 10'000;
+        for (int round = 0; round < 6; ++round) {
+            for (std::size_t i = 0; i < live.size(); ++i) {
+                for (int n = 0; n < 2; ++n) {
+                    request_options ro;
+                    if ((static_cast<std::size_t>(round + n) + i) % 5 == 0) {
+                        ro.deadline_ns = sim::now() + 20'000;
+                    }
+                    submit(live[i],
+                           1000 * static_cast<int>(i + 1) + 10 * round + n, ro);
+                }
+            }
+            std::vector<session_id> churn;
+            for (int k = 0; k < 170; ++k) {
+                if (k % 57 == 0 && live.size() < 9) {
+                    // Live sids interleave with the churned ones.
+                    const std::size_t i = live.size();
+                    session_options o;
+                    o.cls = static_cast<qos_class>(i % 3);
+                    o.weight = static_cast<std::uint32_t>(i / 3 + 1);
+                    live.push_back(srv.open(o));
+                    all.push_back(live.back());
+                }
+                session_options o;
+                o.cls = static_cast<qos_class>(k % 3);
+                o.weight = static_cast<std::uint32_t>(k % 3 + 1);
+                churn.push_back(srv.open(o));
+                all.push_back(churn.back());
+                if (k % 17 == 0) {
+                    submit(churn.back(), churn_tag);
+                }
+                ++churn_tag;
+                if (k % 10 == 0) {
+                    srv.poll();
+                }
+            }
+            for (int p = 0; p < 3; ++p) {
+                srv.poll();
+            }
+            // Churned sessions close, some with work still queued (shed).
+            for (const session_id sid : churn) {
+                srv.close(sid);
+            }
+            submit(churn.front(), -1); // a closed session sheds the submit
+        }
+        srv.drain();
+        for (const session_id sid : live) {
+            srv.close(sid);
+        }
+
+        // The order a scan over every session ever opened produces: skipping
+        // closed and idle sessions must not change which request runs when.
+        const std::vector<int> want = {
+            10000, 10017, 10034, 10051, 10085, 10102, 10153, 1010,  10170,
+            1011,  10221, 10204, 10272, 10323, 1020,  4020,  4021,  10340,
+            10391, 10442, 10493, 1021,  4030,  4031,  7030,  7031,  10510,
+            10561, 1030,  4040,  4041,  7040,  7041,  10680, 10731, 1031,
+            4050,  4051,  7050,  7051,  10850, 10901, 1040,  1051,  5020,
+            5021,  8031,  8040,  8041,  2010,  5030,  5031,  8050,  8051,
+            2011,  5040,  5041,  2020,  5050,  2021,  2030,  2041,  2050,
+            2051,  3010,  6020,  6021,  9030,  9031,  9040,  3011,  6030,
+            6031,  9041,  9050,  9051,  3020,  6040,  6051,  3031,  3040,
+            3041,  3050,  3051};
+        EXPECT_EQ(log, want);
+
+        std::uint64_t expired = 0;
+        std::uint64_t shed = 0;
+        std::uint64_t rejected_total = 0;
+        for (const session_id sid : all) {
+            const session_stats st = srv.stats(sid); // closed: still answers
+            EXPECT_FALSE(st.open);
+            EXPECT_EQ(st.queued, 0u);
+            EXPECT_EQ(st.admitted + rejected[sid],
+                      st.completed + st.failed + st.expired + st.shed)
+                << "session " << sid;
+            expired += st.expired;
+            shed += st.shed;
+            rejected_total += rejected[sid];
+        }
+        EXPECT_GT(all.size(), 1000u);
+        EXPECT_GT(expired, 0u);
+        EXPECT_GT(shed, rejected_total); // some closed with queued work
+        EXPECT_EQ(srv.open_sessions(), 0u);
+        EXPECT_EQ(srv.backlog(), 0u);
     });
 }
 
