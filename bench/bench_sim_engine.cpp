@@ -2,8 +2,9 @@
 //
 // The simulator's own speed bounds how fast the reproduction regenerates the
 // paper's sweeps: these numbers quantify the cost of a scheduler handoff, an
-// event signal, and the fast path (a lone runnable process advancing time
-// without any context switch).
+// event signal, the fast path (a lone runnable process advancing time
+// without any context switch), and an idle probe with and without
+// sim::poll_cycle.
 #include <benchmark/benchmark.h>
 
 #include "sim/engine.hpp"
@@ -97,6 +98,54 @@ void BM_QueueThroughput(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * items);
 }
 BENCHMARK(BM_QueueThroughput)->Arg(1000)->UseRealTime();
+
+void BM_IdlePollers(benchmark::State& state) {
+    // N pollers probe a flag every 100 ns that one worker sets after 200 us:
+    // every probe but the last is fruitless. inline=0 polls with a plain
+    // advance() loop (one handoff per probe), inline=1 with sim::poll_cycle
+    // (the scheduler evaluates the probe itself). Reported as wall time per
+    // idle probe.
+    const auto pollers = state.range(0);
+    const bool inline_cycle = state.range(1) != 0;
+    constexpr duration_ns kPoll = 100;
+    constexpr std::int64_t kWorkerSteps = 200;
+    std::int64_t probes = 0;
+    for (auto _ : state) {
+        simulation s;
+        bool done = false;
+        s.spawn("worker", [&] {
+            for (std::int64_t i = 0; i < kWorkerSteps; ++i) {
+                advance(1'000);
+            }
+            done = true;
+        });
+        for (std::int64_t p = 0; p < pollers; ++p) {
+            s.spawn("poller" + std::to_string(p), [&, inline_cycle] {
+                const duration_ns cycle[] = {kPoll};
+                if (inline_cycle) {
+                    poll_cycle(cycle, 0, [&](std::size_t, time_ns) {
+                        ++probes;
+                        return done;
+                    });
+                    return;
+                }
+                do {
+                    advance(kPoll);
+                    ++probes;
+                } while (!done);
+            });
+        }
+        s.run();
+    }
+    state.SetItemsProcessed(probes);
+    state.counters["wall_per_probe"] = benchmark::Counter(
+        static_cast<double>(probes),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_IdlePollers)
+    ->ArgsProduct({{1, 8}, {0, 1}})
+    ->ArgNames({"pollers", "inline"})
+    ->UseRealTime();
 
 } // namespace
 

@@ -1,5 +1,6 @@
 #include "net/cluster.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -220,74 +221,109 @@ void cluster::gateway_loop(gateway& g, ham::offload::runtime& rt) {
         return true;
     };
 
+    // An iteration that makes no progress parks in one sim::poll_cycle with a
+    // step per probe: step 0 is the poll pause, then inbound frames and
+    // parked retries; step i >= 1 is flight i-1's future check and probe; the
+    // last step also covers the outbox and the health publication. The
+    // predicate proves a step fruitless without running it (the scheduler
+    // evaluates it inline, no thread handoff); whatever it cannot prove
+    // resumes the loop at that step, its cost already paid.
+    const auto fruitless = [&](std::size_t step, sim::time_ns now) {
+        if (step == g.flights.size() &&
+            (!g.outbox.empty() ||
+             g.health_gauge->value() !=
+                 static_cast<std::int64_t>(gateway_health(g)))) {
+            return false;
+        }
+        if (step == 0) {
+            return !g.link.deliverable(0, now) &&
+                   std::all_of(g.parked.begin(), g.parked.end(),
+                               [](const auto& p) { return p.second.empty(); });
+        }
+        const gateway::flight& f = g.flights[step - 1];
+        return rt.idle_probe(f.ve, f.local_ticket, f.local_slot);
+    };
+    std::vector<sim::duration_ns> cycle;
+    std::size_t resume = 0; ///< step the last poll_cycle fired on
+
     while (true) {
         bool progress = false;
 
-        // 1. Inbound frames: route to a VE, execute a memory op, or begin
-        //    the shutdown handshake.
-        std::vector<std::byte> frame;
-        while (g.link.try_recv(0, frame)) {
-            progress = true;
-            AURORA_CHECK_MSG(proto::is_routed(frame.data(), frame.size()),
-                             "gateway received an unrouted frame");
-            proto::routing_header h = proto::decode_routing(frame.data());
-            ++h.hops;
-            aurora::obs::trace_context ctx;
-            if (h.has_trace_context()) {
-                ctx.trace_id =
-                    aurora::obs::widen_trace_id(h.trace_lo, h.src_node);
-                ctx.parent_span = h.parent_span;
-            }
-            std::vector<std::byte> payload(
-                frame.begin() + static_cast<std::ptrdiff_t>(
-                                    proto::routing_header_bytes),
-                frame.end());
-            switch (h.kind) {
-                case proto::msg_kind::terminate:
-                    terminate = true;
-                    break;
-                case proto::msg_kind::data_put:
-                case proto::msg_kind::data_get:
-                    g.outbox.push_back(result_frame(
-                        g, h.target, h.ticket,
-                        serve_mem_request(rt, payload), ctx));
-                    break;
-                default:
-                    if (!post(h.ticket, h.target, payload, h.kind, ctx)) {
-                        g.parked[h.target].push_back(
-                            {h.ticket, std::move(payload), h.kind, ctx});
-                    }
-                    break;
-            }
-        }
-
-        // 2. Parked frames: retry per VE; a terminally failed VE settles its
-        //    whole queue so no other tenant ever waits behind it.
-        for (auto& [ve, q] : g.parked) {
-            if (q.empty()) {
-                continue;
-            }
-            if (rt.health(ve) == target_health::failed) {
-                for (const auto& p : q) {
-                    settle(p.ticket, ve, p.ctx);
+        if (resume == 0) {
+            // 1. Inbound frames: route to a VE, execute a memory op, or
+            //    begin the shutdown handshake.
+            std::vector<std::byte> frame;
+            while (g.link.try_recv(0, frame)) {
+                progress = true;
+                AURORA_CHECK_MSG(proto::is_routed(frame.data(), frame.size()),
+                                 "gateway received an unrouted frame");
+                proto::routing_header h = proto::decode_routing(frame.data());
+                ++h.hops;
+                aurora::obs::trace_context ctx;
+                if (h.has_trace_context()) {
+                    ctx.trace_id =
+                        aurora::obs::widen_trace_id(h.trace_lo, h.src_node);
+                    ctx.parent_span = h.parent_span;
                 }
-                q.clear();
-                progress = true;
-                continue;
+                std::vector<std::byte> payload(
+                    frame.begin() + static_cast<std::ptrdiff_t>(
+                                        proto::routing_header_bytes),
+                    frame.end());
+                switch (h.kind) {
+                    case proto::msg_kind::terminate:
+                        terminate = true;
+                        break;
+                    case proto::msg_kind::data_put:
+                    case proto::msg_kind::data_get:
+                        g.outbox.push_back(result_frame(
+                            g, h.target, h.ticket,
+                            serve_mem_request(rt, payload), ctx));
+                        break;
+                    default:
+                        if (!post(h.ticket, h.target, payload, h.kind, ctx)) {
+                            g.parked[h.target].push_back(
+                                {h.ticket, std::move(payload), h.kind, ctx});
+                        }
+                        break;
+                }
             }
-            while (!q.empty() && post(q.front().ticket, ve, q.front().payload,
-                                      q.front().kind, q.front().ctx)) {
-                q.pop_front();
-                progress = true;
+
+            // 2. Parked frames: retry per VE; a terminally failed VE settles
+            //    its whole queue so no other tenant ever waits behind it.
+            for (auto& [ve, q] : g.parked) {
+                if (q.empty()) {
+                    continue;
+                }
+                if (rt.health(ve) == target_health::failed) {
+                    for (const auto& p : q) {
+                        settle(p.ticket, ve, p.ctx);
+                    }
+                    q.clear();
+                    progress = true;
+                    continue;
+                }
+                while (!q.empty() && post(q.front().ticket, ve,
+                                          q.front().payload, q.front().kind,
+                                          q.front().ctx)) {
+                    q.pop_front();
+                    progress = true;
+                }
             }
         }
 
         // 3. Completed offloads: forward results (FIFO front-probe per the
-        //    slot discipline; later flights cannot complete earlier).
-        for (std::size_t i = 0; i < g.flights.size();) {
+        //    slot discipline; later flights cannot complete earlier). A
+        //    resumed iteration starts at the flight whose check it paid.
+        bool charged = resume > 0;
+        for (std::size_t i = charged ? resume - 1 : 0; i < g.flights.size();) {
             gateway::flight& f = g.flights[i];
             std::vector<std::byte> bytes;
-            if (rt.try_collect(f.ve, f.local_ticket, f.local_slot, bytes)) {
+            const bool done =
+                charged
+                    ? rt.collect_probe(f.ve, f.local_ticket, f.local_slot, bytes)
+                    : rt.try_collect(f.ve, f.local_ticket, f.local_slot, bytes);
+            charged = false;
+            if (done) {
                 g.outbox.push_back(
                     result_frame(g, f.ve, f.origin_ticket, bytes, f.ctx));
                 g.flights.erase(g.flights.begin() +
@@ -316,8 +352,14 @@ void cluster::gateway_loop(gateway& g, ham::offload::runtime& rt) {
                 return;
             }
         }
+        resume = 0;
         if (!progress) {
-            sim::advance(poll);
+            cycle.assign(g.flights.size() + 1, rt.costs().ham_future_check_ns);
+            cycle[0] = poll;
+            resume = sim::poll_cycle(
+                cycle, 0, [&](std::size_t step, sim::time_ns now) {
+                    return !fruitless(step, now);
+                });
         }
     }
 }
@@ -637,37 +679,41 @@ void cluster::publish_node_health(int vh) {
         return;
     }
     gateway& g = gw(vh);
-    node_status s;
-    // Compute from the gateway side without re-entering status() (which is
+    g.health_gauge->set(static_cast<std::int64_t>(gateway_health(g)));
+}
+
+target_health cluster::gateway_health(gateway& g) {
+    // Computed from the gateway side without re-entering status() (which is
     // origin-facing); the gauge encodes the same aggregate.
-    if (g.rt != nullptr) {
-        int healthy = 0, recovering = 0, failed = 0;
-        for (int ve = 1; ve <= opt_.ves_per_node; ++ve) {
-            switch (g.rt->health(ve)) {
-                case target_health::healthy:
-                case target_health::degraded:
-                case target_health::probation:
-                    ++healthy;
-                    break;
-                case target_health::recovering:
-                    ++recovering;
-                    break;
-                case target_health::failed:
-                    ++failed;
-                    break;
-            }
-        }
-        if (failed == opt_.ves_per_node) {
-            s.health = target_health::failed;
-        } else if (recovering > 0) {
-            s.health = target_health::recovering;
-        } else if (healthy < opt_.ves_per_node) {
-            s.health = target_health::degraded;
-        }
-    } else {
-        s.health = g.started ? target_health::failed : target_health::healthy;
+    if (g.rt == nullptr) {
+        return g.started ? target_health::failed : target_health::healthy;
     }
-    g.health_gauge->set(static_cast<std::int64_t>(s.health));
+    int healthy = 0, recovering = 0, failed = 0;
+    for (int ve = 1; ve <= opt_.ves_per_node; ++ve) {
+        switch (g.rt->health(ve)) {
+            case target_health::healthy:
+            case target_health::degraded:
+            case target_health::probation:
+                ++healthy;
+                break;
+            case target_health::recovering:
+                ++recovering;
+                break;
+            case target_health::failed:
+                ++failed;
+                break;
+        }
+    }
+    if (failed == opt_.ves_per_node) {
+        return target_health::failed;
+    }
+    if (recovering > 0) {
+        return target_health::recovering;
+    }
+    if (healthy < opt_.ves_per_node) {
+        return target_health::degraded;
+    }
+    return target_health::healthy;
 }
 
 // --- result_source -----------------------------------------------------------

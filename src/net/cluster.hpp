@@ -233,6 +233,8 @@ private:
     std::vector<std::byte> mem_roundtrip(int vh, const mem_request& req,
                                          const void* data, std::size_t len);
     void publish_node_health(int vh);
+    /// Aggregate health of a remote node, as its gateway publishes it.
+    ham::offload::target_health gateway_health(gateway& g);
 
     sim::platform& plat_;
     cluster_options opt_;

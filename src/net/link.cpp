@@ -67,10 +67,10 @@ bool inter_node_channel::try_send(int dir, std::vector<std::byte> frame) {
 
 bool inter_node_channel::try_recv(int dir, std::vector<std::byte>& out) {
     AURORA_CHECK(dir == 0 || dir == 1);
-    direction& w = wire_[dir];
-    if (w.frames.empty() || w.frames.front().arrives_at > sim::now()) {
+    if (!deliverable(dir, sim::now())) {
         return false;
     }
+    direction& w = wire_[dir];
     out = std::move(w.frames.front().bytes);
     w.frames.pop_front();
     publish_depth();

@@ -74,6 +74,13 @@ public:
     /// time has been reached. False when nothing is deliverable yet.
     bool try_recv(int dir, std::vector<std::byte>& out);
 
+    /// Whether try_recv(dir) would deliver a frame at virtual time `now`
+    /// (pure: usable from a sim::poll_cycle predicate).
+    [[nodiscard]] bool deliverable(int dir, sim::time_ns now) const noexcept {
+        const auto& frames = wire_[dir].frames;
+        return !frames.empty() && frames.front().arrives_at <= now;
+    }
+
     /// Frames posted but not yet received in direction `dir`.
     [[nodiscard]] std::size_t in_flight(int dir) const noexcept {
         return wire_[dir].size();

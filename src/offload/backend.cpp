@@ -56,7 +56,7 @@ void backend_metrics::poll_timer::arrived(std::size_t len) noexcept {
 }
 
 backend_metrics::poll_timer::~poll_timer() {
-    m_.polls_->add(1);
+    m_.count_poll();
     if (!arrived_) {
         return;
     }

@@ -25,6 +25,10 @@ enum class io_status : std::uint8_t {
     down,      ///< the transport is gone; the target must be declared failed
 };
 
+/// Answer of backend::result_pending(): whether a test_result() would find
+/// a result, or `unknown` when the backend cannot tell without probing.
+enum class probe_answer : std::uint8_t { no, yes, unknown };
+
 /// Transport-level telemetry shared by every backend implementation: send
 /// and poll latencies (virtual ns) plus byte counters, labeled
 /// {backend=<name>, node=<n>} in the global aurora::metrics registry.
@@ -33,6 +37,10 @@ enum class io_status : std::uint8_t {
 class backend_metrics {
 public:
     backend_metrics(const char* backend_name, node_t node);
+
+    /// Count one result probe without timing it (fruitless probes record no
+    /// latency, so this needs no clock).
+    void count_poll() noexcept { polls_->add(1); }
 
     /// Times one send_message call and counts its payload bytes.
     class send_timer {
@@ -95,6 +103,18 @@ public:
     /// Non-blocking result probe for `slot`. On success fills `out` with the
     /// result payload (header + bytes) and clears the slot.
     virtual bool test_result(std::uint32_t slot, std::vector<std::byte>& out) = 0;
+
+    /// What test_result(slot) would find, told without probing and without
+    /// any simulator call (sim::poll_cycle predicates ask it from the
+    /// scheduler). The default cannot tell.
+    [[nodiscard]] virtual probe_answer
+    result_pending(std::uint32_t /*slot*/) const {
+        return probe_answer::unknown;
+    }
+    /// Account one fruitless test_result() without running it: the counters
+    /// the probe itself bumps, and nothing else. Backends that answer
+    /// result_pending() with `no` must implement it.
+    virtual void note_fruitless_poll() {}
 
     /// Cost the host pays for one fruitless poll iteration (backend-specific:
     /// an expensive VEO read vs. a local memory probe).

@@ -179,17 +179,30 @@ io_status backend_loopback::send_message(std::uint32_t slot, const void* msg,
 
 bool backend_loopback::test_result(std::uint32_t slot, std::vector<std::byte>& out) {
     AURORA_CHECK(slot < slots_);
-    AURORA_TRACE_COUNTER("backend", "loopback_poll", 1);
-    backend_metrics::poll_timer timer(met_);
     auto& r = shared_->results[slot];
     if (r.empty()) {
+        note_fruitless_poll();
         return false;
     }
+    AURORA_TRACE_COUNTER("backend", "loopback_poll", 1);
+    backend_metrics::poll_timer timer(met_);
     out = std::move(r);
     r.clear();
     timer.arrived(out.size());
     AURORA_TRACE_INSTANT("backend", "loopback_result");
     return true;
+}
+
+probe_answer backend_loopback::result_pending(std::uint32_t slot) const {
+    if (slot >= slots_) {
+        return probe_answer::unknown; // test_result() would throw
+    }
+    return shared_->results[slot].empty() ? probe_answer::no : probe_answer::yes;
+}
+
+void backend_loopback::note_fruitless_poll() {
+    AURORA_TRACE_COUNTER("backend", "loopback_poll", 1);
+    met_.count_poll();
 }
 
 void backend_loopback::poll_pause() {

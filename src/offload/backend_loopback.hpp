@@ -33,6 +33,8 @@ public:
                                          std::size_t len, protocol::msg_kind kind,
                                          bool retransmit) override;
     bool test_result(std::uint32_t slot, std::vector<std::byte>& out) override;
+    [[nodiscard]] probe_answer result_pending(std::uint32_t slot) const override;
+    void note_fruitless_poll() override;
     void poll_pause() override;
 
     [[nodiscard]] std::uint64_t allocate_bytes(std::uint64_t len) override;

@@ -1142,6 +1142,11 @@ std::uint32_t runtime::slots_available(node_t node) {
 bool runtime::try_collect(node_t node, std::uint64_t ticket, std::uint32_t slot,
                           std::vector<std::byte>& out) {
     sim::advance(costs_.ham_future_check_ns);
+    return collect_probe(node, ticket, slot, out);
+}
+
+bool runtime::collect_probe(node_t node, std::uint64_t ticket, std::uint32_t slot,
+                            std::vector<std::byte>& out) {
     target_state& t = state_for(node);
     if (t.health == target_health::recovering) {
         maybe_recover(t, node);
@@ -1191,6 +1196,25 @@ bool runtime::try_collect(node_t node, std::uint64_t ticket, std::uint32_t slot,
     AURORA_CHECK_MSG(queued,
                      "future references a result that was already consumed");
     return false;
+}
+
+bool runtime::idle_probe(node_t node, std::uint64_t ticket, std::uint32_t slot) {
+    // Only the plain fruitless path is provable: tracing timestamps events,
+    // resilient mode sweeps deadlines, recovery and failure change state, and
+    // a relocated or already-arrived ticket takes other branches.
+    if (aurora::trace::enabled() || resilient_ || ticket == 0) {
+        return false;
+    }
+    target_state& t = state_for(node);
+    if (t.health == target_health::recovering ||
+        t.health == target_health::failed || t.be == nullptr ||
+        slot >= t.slot_ticket.size() || t.slot_ticket[slot] != ticket ||
+        t.arrived.count(ticket) != 0 ||
+        t.be->result_pending(slot) != probe_answer::no) {
+        return false;
+    }
+    t.be->note_fruitless_poll();
+    return true;
 }
 
 void runtime::wait_collect(node_t node, std::uint64_t ticket, std::uint32_t slot,

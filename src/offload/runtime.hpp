@@ -155,8 +155,18 @@ public:
     /// every completed result (non-blocking).
     [[nodiscard]] std::uint32_t slots_available(node_t node);
 
+    /// Charges ham_future_check_ns, then collect_probe().
     bool try_collect(node_t node, std::uint64_t ticket, std::uint32_t slot,
                      std::vector<std::byte>& out) override;
+    /// try_collect() without its charge: the result probe alone.
+    bool collect_probe(node_t node, std::uint64_t ticket, std::uint32_t slot,
+                       std::vector<std::byte>& out);
+    /// Stand-in for a collect_probe() that finds nothing, for sim::poll_cycle
+    /// predicates (no simulator call). True when the probe provably finds no
+    /// result; the probe's own counters are then bumped exactly as it would
+    /// bump them. False, with no effect, whenever that cannot be proven.
+    [[nodiscard]] bool idle_probe(node_t node, std::uint64_t ticket,
+                                  std::uint32_t slot);
     void wait_collect(node_t node, std::uint64_t ticket, std::uint32_t slot,
                       std::vector<std::byte>& out) override;
     bool wait_collect_until(node_t node, std::uint64_t ticket, std::uint32_t slot,

@@ -10,6 +10,39 @@ namespace aurora::sim {
 namespace {
 thread_local process* tl_current = nullptr;
 
+/// One inline evaluation of a poll_cycle() predicate on this thread.
+struct probe_frame {
+    std::exception_ptr violation; ///< the predicate made a simulation call
+};
+thread_local probe_frame* tl_probe = nullptr;
+
+/// Installs a probe_frame for the duration of one predicate call; restores
+/// the thread's state on every exit path.
+class probe_scope {
+public:
+    explicit probe_scope(probe_frame& f) noexcept { tl_probe = &f; }
+    ~probe_scope() { tl_probe = nullptr; }
+    probe_scope(const probe_scope&) = delete;
+    probe_scope& operator=(const probe_scope&) = delete;
+};
+
+/// Simulation calls from inside a predicate would re-enter the scheduler
+/// (and its mutex) that is evaluating it: fail loudly instead.
+void check_not_probing() {
+    if (tl_probe == nullptr) {
+        return;
+    }
+    try {
+        AURORA_CHECK_MSG(tl_probe == nullptr,
+                         "simulation call inside a poll_cycle predicate: the "
+                         "predicate runs in the scheduler, so it must use its "
+                         "`now` argument and never block, spawn or signal");
+    } catch (...) {
+        tl_probe->violation = std::current_exception();
+        throw;
+    }
+}
+
 const char* state_name(int s) {
     switch (s) {
         case 0: return "ready";
@@ -80,6 +113,7 @@ simulation::~simulation() {
 }
 
 process& simulation::spawn(std::string name, process::body_fn body) {
+    check_not_probing();
     std::unique_lock<std::mutex> lk(mu_);
     AURORA_CHECK_MSG(!done_ && !aborted_, "spawn on a finished simulation");
     const auto id = static_cast<std::uint32_t>(processes_.size());
@@ -127,30 +161,32 @@ void simulation::make_ready_locked(process& p, time_ns wake) {
 }
 
 void simulation::schedule_next_locked(process* leaving) {
-    if (aborted_) {
-        running_proc_ = nullptr;
-        const bool all_finished =
-            std::all_of(processes_.begin(), processes_.end(), [](const auto& p) {
-                return p->st_ == process::state::finished;
-            });
-        if (all_finished) {
-            done_ = true;
-            done_cv_.notify_all();
+    for (;;) {
+        if (aborted_) {
+            running_proc_ = nullptr;
+            const bool all_finished = std::all_of(
+                processes_.begin(), processes_.end(),
+                [](const auto& p) { return p->st_ == process::state::finished; });
+            if (all_finished) {
+                done_ = true;
+                done_cv_.notify_all();
+            }
+            return;
         }
-        return;
-    }
 
-    process* best = nullptr;
-    for (auto& p : processes_) {
-        if (p->st_ != process::state::ready) {
-            continue;
+        process* best = nullptr;
+        for (auto& p : processes_) {
+            if (p->st_ != process::state::ready) {
+                continue;
+            }
+            if (best == nullptr || p->wake_ < best->wake_ ||
+                (p->wake_ == best->wake_ && p->ready_seq_ < best->ready_seq_)) {
+                best = p.get();
+            }
         }
-        if (best == nullptr || p->wake_ < best->wake_ ||
-            (p->wake_ == best->wake_ && p->ready_seq_ < best->ready_seq_)) {
-            best = p.get();
+        if (best == nullptr) {
+            break;
         }
-    }
-    if (best != nullptr) {
         if (deadline_ != 0 && best->wake_ > deadline_) {
             abort_locked(std::make_exception_ptr(simulation_error(
                 "virtual deadline of " + std::to_string(deadline_) +
@@ -158,11 +194,14 @@ void simulation::schedule_next_locked(process* leaving) {
                 " ns in '" + best->name_ + "')")));
             return;
         }
+        clock_ = std::max(clock_, best->wake_);
+        if (best->poll_ != nullptr && !probe_locked(*best)) {
+            continue; // fruitless idle probe: no handoff, pick again
+        }
         if (best != leaving) {
             ++stats_.context_switches;
         }
         running_proc_ = best;
-        clock_ = std::max(clock_, best->wake_);
         best->cv_.notify_one();
         return;
     }
@@ -178,6 +217,33 @@ void simulation::schedule_next_locked(process* leaving) {
         return;
     }
     abort_locked(std::make_exception_ptr(simulation_error(deadlock_report_locked())));
+}
+
+bool simulation::probe_locked(process& p) {
+    process::poll_state& ps = *p.poll_;
+    p.now_ = p.wake_;
+    ++stats_.inline_probes;
+    probe_frame frame;
+    bool fire = true;
+    {
+        const probe_scope scope(frame);
+        try {
+            fire = (*ps.ready)(ps.step, p.wake_);
+        } catch (...) {
+            fire = true; // let the poller run the step for real
+        }
+    }
+    if (frame.violation != nullptr) {
+        abort_locked(frame.violation);
+        return false;
+    }
+    if (fire) {
+        return true;
+    }
+    // Exactly what the poller's own advance(costs[next]) would do.
+    ps.step = (ps.step + 1) % ps.costs.size();
+    make_ready_locked(p, p.wake_ + ps.costs[ps.step]);
+    return false;
 }
 
 void simulation::abort_locked(std::exception_ptr error) {
@@ -234,6 +300,7 @@ bool in_simulation() noexcept {
 }
 
 process& self() {
+    check_not_probing();
     AURORA_CHECK_MSG(tl_current != nullptr,
                      "sim context function called outside a simulated process");
     return *tl_current;
@@ -264,6 +331,27 @@ void join(process& p) {
     }
     p.join_waiters_.push_back(&me);
     me.sim_.block_current_locked(lk, me);
+}
+
+std::size_t poll_cycle(std::span<const duration_ns> costs, std::size_t first,
+                       const poll_ready_fn& ready) {
+    AURORA_CHECK_MSG(first < costs.size(),
+                     "poll_cycle needs a non-empty cycle containing step "
+                         << first);
+    AURORA_CHECK_MSG(std::all_of(costs.begin(), costs.end(),
+                                 [](duration_ns d) { return d >= 0; }),
+                     "poll_cycle step costs must be non-negative");
+    process& me = self();
+    std::unique_lock<std::mutex> lk(me.sim_.mu_);
+    process::poll_state ps{costs, &ready, first};
+    me.poll_ = &ps;
+    // Unpark on every exit, including the unwind of an aborted simulation.
+    struct unpark {
+        process& p;
+        ~unpark() { p.poll_ = nullptr; }
+    } const guard{me};
+    me.sim_.reschedule_current_locked(lk, me, costs[first]);
+    return ps.step;
 }
 
 } // namespace aurora::sim

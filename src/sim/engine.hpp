@@ -13,6 +13,30 @@
 //     i.e. through explicitly modeled costs. Plain C++ between those calls is
 //     "free", which is exactly what we want: functional behaviour is real,
 //     timing comes from the calibrated cost model.
+//
+// Inline idle probes (sim::poll_cycle). A polling loop that mostly finds
+// nothing costs one OS-thread handoff per probe. poll_cycle() lets the
+// scheduler run such a probe itself: the poller parks with a cycle of step
+// costs and a `ready` predicate, and whenever it is the next process to run,
+// schedule_next_locked() evaluates `ready` inline on whichever thread is
+// already running the scheduler. A fruitless step re-enqueues the poller at
+// `wake + costs[next]` through make_ready_locked() — exactly the call the
+// poller's own advance() would make — so ready order, same-instant
+// tie-breaks, the global clock and the virtual deadline are identical to the
+// plain loop by construction. Contract of `ready(step, now)`:
+//   * `now` is the poller's virtual time at the probe; the predicate must not
+//     read the clock any other way;
+//   * it must be *pure with respect to the simulator*: any sim::self(),
+//     now(), advance(), sleep_until(), join(), spawn() or event/condition/
+//     queue call fails an AURORA_CHECK and aborts the simulation with that
+//     error (it would otherwise self-deadlock on the scheduler mutex);
+//   * it may update plain user state (counters, metrics) — the side effects
+//     of the fruitless probe it stands in for;
+//   * returning true, or throwing anything else, hands control back to the
+//     poller, which then runs that step for real on its own thread;
+//   * it runs under the scheduler mutex, on another OS thread than the
+//     poller's: state it reads was written by simulated processes and is
+//     ordered by that mutex.
 #pragma once
 
 #include <condition_variable>
@@ -21,6 +45,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,6 +57,10 @@ namespace aurora::sim {
 class simulation;
 class event;
 class condition;
+
+/// Predicate of poll_cycle(): true when step `step`, probed at virtual time
+/// `now`, needs the poller to run (see the contract at the top of this file).
+using poll_ready_fn = std::function<bool(std::size_t step, time_ns now)>;
 
 /// One simulated process. Created through simulation::spawn(); runs its body
 /// on a dedicated OS thread under the cooperative scheduler.
@@ -58,8 +87,17 @@ private:
     friend class condition;
     friend void advance(duration_ns);
     friend void join(process&);
+    friend std::size_t poll_cycle(std::span<const duration_ns>, std::size_t,
+                                  const poll_ready_fn&);
 
     enum class state { ready, running, blocked, finished };
+
+    /// A poll_cycle() in progress: the scheduler advances `step` in place.
+    struct poll_state {
+        std::span<const duration_ns> costs;
+        const poll_ready_fn* ready = nullptr;
+        std::size_t step = 0;
+    };
 
     process(simulation& sim, std::uint32_t id, std::string name, body_fn body);
     void thread_main();
@@ -74,6 +112,7 @@ private:
     std::uint64_t ready_seq_ = 0;
     std::condition_variable cv_;
     std::vector<process*> join_waiters_;
+    poll_state* poll_ = nullptr; ///< non-null while parked in poll_cycle()
     std::thread thread_;
 };
 
@@ -100,6 +139,9 @@ public:
         std::uint64_t context_switches = 0; ///< scheduler handoffs between processes
         std::uint64_t processes_spawned = 0;
         std::uint64_t events_notified = 0;
+        /// poll_cycle() predicates the scheduler evaluated inline; every
+        /// fruitless one is a handoff the plain polling loop would have made.
+        std::uint64_t inline_probes = 0;
     };
 
     simulation();
@@ -134,10 +176,15 @@ private:
     friend process& self();
     friend void advance(duration_ns);
     friend void join(process&);
+    friend std::size_t poll_cycle(std::span<const duration_ns>, std::size_t,
+                                  const poll_ready_fn&);
 
     // All private methods below require lk to hold mu_.
     void make_ready_locked(process& p, time_ns wake);
     void schedule_next_locked(process* leaving);
+    /// Evaluate the parked poller `p`'s predicate at its wake time. False
+    /// when the step was fruitless and `p` was re-enqueued for the next one.
+    [[nodiscard]] bool probe_locked(process& p);
     void abort_locked(std::exception_ptr error);
     void wait_for_grant_locked(std::unique_lock<std::mutex>& lk, process& me);
     void block_current_locked(std::unique_lock<std::mutex>& lk, process& me);
@@ -182,5 +229,16 @@ void sleep_until(time_ns t);
 
 /// Block until `p` finishes. The caller resumes at max(its time, finish time).
 void join(process& p);
+
+/// Cyclic idle poll. Means exactly
+///   for (i = first;; i = (i + 1) % costs.size()) {
+///       advance(costs[i]);
+///       if (ready(i, now())) return i;
+///   }
+/// except that `ready` runs inline in the scheduler, so a fruitless step
+/// costs no thread handoff. A throwing `ready` counts as true. `costs` must
+/// be non-empty with non-negative entries and outlive the call.
+std::size_t poll_cycle(std::span<const duration_ns> costs, std::size_t first,
+                       const poll_ready_fn& ready);
 
 } // namespace aurora::sim
