@@ -106,7 +106,7 @@ void injector::revive(int node) {
 }
 
 bool injector::take_attach_failure(int node) {
-    if (!armed_.load(std::memory_order_relaxed)) {
+    if (!armed()) {
         return false;
     }
     const auto it = nodes_.find(node);
@@ -120,7 +120,7 @@ bool injector::take_attach_failure(int node) {
 }
 
 void injector::count_message(int node) {
-    if (!armed_.load(std::memory_order_relaxed)) {
+    if (!armed()) {
         return;
     }
     const auto it = nodes_.find(node);
@@ -130,7 +130,7 @@ void injector::count_message(int node) {
 }
 
 void injector::check_target_alive(int node) {
-    if (!armed_.load(std::memory_order_relaxed)) {
+    if (!armed()) {
         return;
     }
     const auto it = nodes_.find(node);

@@ -93,6 +93,11 @@ public:
     [[nodiscard]] bool active() const noexcept {
         return active_.load(std::memory_order_relaxed);
     }
+    /// Any deterministic kill / attach-failure schedule outstanding? Pure:
+    /// safe inside a sim::poll_cycle predicate.
+    [[nodiscard]] bool armed() const noexcept {
+        return armed_.load(std::memory_order_relaxed);
+    }
     [[nodiscard]] const config& cfg() const noexcept { return cfg_; }
     [[nodiscard]] counters& stats() noexcept { return stats_; }
 

@@ -221,30 +221,41 @@ void cluster::gateway_loop(gateway& g, ham::offload::runtime& rt) {
         return true;
     };
 
-    // An iteration that makes no progress parks in one sim::poll_cycle with a
-    // step per probe: step 0 is the poll pause, then inbound frames and
-    // parked retries; step i >= 1 is flight i-1's future check and probe; the
-    // last step also covers the outbox and the health publication. The
-    // predicate proves a step fruitless without running it (the scheduler
-    // evaluates it inline, no thread handoff); whatever it cannot prove
-    // resumes the loop at that step, its cost already paid.
-    const auto fruitless = [&](std::size_t step, sim::time_ns now) {
+    // Every wait of the loop is a sim::poll_cycle whose predicate proves a
+    // step fruitless without running it (the scheduler evaluates it inline,
+    // no thread handoff); whatever it cannot prove resumes the loop at that
+    // step, its cost already paid.
+    const auto flight_idle = [&](std::size_t i) {
+        const gateway::flight& f = g.flights[i];
+        return rt.idle_probe(f.ve, f.local_ticket, f.local_slot);
+    };
+    // Step 3 checks flights first..n-1, one step each. The last step always
+    // fires, so the loop goes on to the outbox on its own thread.
+    std::size_t first = 0;
+    const sim::poll_ready_fn check_fires = [&](std::size_t step, sim::time_ns) {
+        return first + step + 1 == g.flights.size() || !flight_idle(first + step);
+    };
+    // An iteration that makes no progress parks in one cycle with a step per
+    // probe: step 0 is the poll pause, then inbound frames and parked
+    // retries; step i >= 1 is flight i-1's future check and probe; the last
+    // step also covers the outbox and the health publication.
+    const sim::poll_ready_fn idle_fires = [&](std::size_t step,
+                                              sim::time_ns now) {
         if (step == g.flights.size() &&
             (!g.outbox.empty() ||
              g.health_gauge->value() !=
                  static_cast<std::int64_t>(gateway_health(g)))) {
-            return false;
+            return true;
         }
         if (step == 0) {
-            return !g.link.deliverable(0, now) &&
-                   std::all_of(g.parked.begin(), g.parked.end(),
-                               [](const auto& p) { return p.second.empty(); });
+            return g.link.deliverable(0, now) ||
+                   std::any_of(g.parked.begin(), g.parked.end(),
+                               [](const auto& p) { return !p.second.empty(); });
         }
-        const gateway::flight& f = g.flights[step - 1];
-        return rt.idle_probe(f.ve, f.local_ticket, f.local_slot);
+        return !flight_idle(step - 1);
     };
     std::vector<sim::duration_ns> cycle;
-    std::size_t resume = 0; ///< step the last poll_cycle fired on
+    std::size_t resume = 0; ///< step the last idle cycle fired on
 
     while (true) {
         bool progress = false;
@@ -312,18 +323,21 @@ void cluster::gateway_loop(gateway& g, ham::offload::runtime& rt) {
         }
 
         // 3. Completed offloads: forward results (FIFO front-probe per the
-        //    slot discipline; later flights cannot complete earlier). A
-        //    resumed iteration starts at the flight whose check it paid.
+        //    slot discipline; later flights cannot complete earlier). The
+        //    checks wait in one poll_cycle, which returns at the first flight
+        //    that needs this thread; a resumed iteration starts at the
+        //    flight whose check the idle cycle paid.
         bool charged = resume > 0;
         for (std::size_t i = charged ? resume - 1 : 0; i < g.flights.size();) {
+            if (!charged) {
+                first = i;
+                cycle.assign(g.flights.size() - i, rt.costs().ham_future_check_ns);
+                i += sim::poll_cycle(cycle, 0, check_fires);
+            }
+            charged = false;
             gateway::flight& f = g.flights[i];
             std::vector<std::byte> bytes;
-            const bool done =
-                charged
-                    ? rt.collect_probe(f.ve, f.local_ticket, f.local_slot, bytes)
-                    : rt.try_collect(f.ve, f.local_ticket, f.local_slot, bytes);
-            charged = false;
-            if (done) {
+            if (rt.collect_probe(f.ve, f.local_ticket, f.local_slot, bytes)) {
                 g.outbox.push_back(
                     result_frame(g, f.ve, f.origin_ticket, bytes, f.ctx));
                 g.flights.erase(g.flights.begin() +
@@ -356,10 +370,7 @@ void cluster::gateway_loop(gateway& g, ham::offload::runtime& rt) {
         if (!progress) {
             cycle.assign(g.flights.size() + 1, rt.costs().ham_future_check_ns);
             cycle[0] = poll;
-            resume = sim::poll_cycle(
-                cycle, 0, [&](std::size_t step, sim::time_ns now) {
-                    return !fruitless(step, now);
-                });
+            resume = sim::poll_cycle(cycle, 0, idle_fires);
         }
     }
 }

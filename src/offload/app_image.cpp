@@ -52,6 +52,29 @@ struct vedma_target_cfg {
 
 using target_cfg = std::variant<veo_target_cfg, vedma_target_cfg>;
 
+// --- the VE-side receive flag poll --------------------------------------------
+
+/// The VE's idle deadline (0 = none) has passed at `now`.
+bool idle_expired(std::int64_t timeout_ns, sim::time_ns idle_start,
+                  sim::time_ns now) {
+    return timeout_ns > 0 && now - idle_start >= timeout_ns;
+}
+
+/// The `ready` predicate of a receive flag poll's sim::poll_cycle, given the
+/// flag word `raw` a probe at `now` reads: true whenever the plain poll would
+/// act on that probe. That is when a kill schedule is armed (its liveness
+/// check must run on the VE's thread), when the expected generation is
+/// present (a message, or a stale-epoch flag to clear), or when the idle
+/// deadline has passed. Otherwise the probe is provably fruitless.
+bool flag_poll_fires(std::uint64_t raw, std::uint8_t want,
+                     std::int64_t timeout_ns, sim::time_ns idle_start,
+                     sim::time_ns now) {
+    const protocol::flag_word flag = protocol::decode_flag(raw);
+    return aurora::fault::injector::instance().armed() ||
+           (flag.present() && flag.gen == want) ||
+           idle_expired(timeout_ns, idle_start, now);
+}
+
 // --- target memory over the VE process's simulated HBM2 ----------------------
 
 class ve_target_memory final : public target_memory {
@@ -84,16 +107,24 @@ public:
         protocol::flag_word flag;
         // "Every time the runtime on the VE runs idle ... it polls the
         // notification flag of the next receive buffer" (Sec. III-D). Local
-        // memory probes — the cheap side of this protocol.
+        // memory probes — the cheap side of this protocol. Each probe waits
+        // in a one-step sim::poll_cycle: the scheduler peeks the flag inline
+        // and wakes this process only for a probe that has work to do.
         auto& inj = aurora::fault::injector::instance();
         const sim::time_ns idle_start = sim::now();
+        const std::uint64_t flag_addr =
+            cfg_.comm_addr + lay.recv_base() + lay.recv.flag_offset(next_);
+        const std::uint8_t want = protocol::next_gen(recv_gen_[next_]);
+        const sim::duration_ns step[] = {cm.local_poll_ns};
+        const sim::poll_ready_fn ready = [&](std::size_t, sim::time_ns now) {
+            return flag_poll_fires(proc_.mem().load_u64(flag_addr), want,
+                                   cfg_.idle_timeout_ns, idle_start, now);
+        };
         for (;;) {
             inj.check_target_alive(int(cfg_.node));
-            sim::advance(cm.local_poll_ns);
-            const std::uint64_t flag_addr =
-                cfg_.comm_addr + lay.recv_base() + lay.recv.flag_offset(next_);
+            sim::poll_cycle(step, 0, ready);
             flag = protocol::decode_flag(proc_.mem().load_u64(flag_addr));
-            if (flag.present() && flag.gen == protocol::next_gen(recv_gen_[next_])) {
+            if (flag.present() && flag.gen == want) {
                 if (flag.epoch == cfg_.epoch) {
                     break;
                 }
@@ -103,8 +134,7 @@ public:
                 proc_.mem().store_u64(flag_addr, 0);
                 heal::note_epoch_reject("veo", cfg_.node);
             }
-            if (cfg_.idle_timeout_ns > 0 &&
-                sim::now() - idle_start >= cfg_.idle_timeout_ns) {
+            if (idle_expired(cfg_.idle_timeout_ns, idle_start, sim::now())) {
                 // The host went silent for the configured deadline: presume it
                 // is gone and exit the loop instead of polling forever.
                 inj.note_idle_timeout();
@@ -240,18 +270,24 @@ public:
             protocol::flag_word flag;
             // "The VE now needs to actively fetch its messages" (Sec. IV-B):
             // poll the flag in *host* memory via LHM — one PCIe round trip
-            // each.
+            // each, waited in a one-step sim::poll_cycle like the veo poll.
             auto& inj = aurora::fault::injector::instance();
             const sim::time_ns idle_start = sim::now();
+            const std::uint64_t flag_vehva =
+                comm_vehva_ + lay.recv_base() + lay.recv.flag_offset(next_);
+            const aurora::vedma::lhm_word word =
+                aurora::vedma::lhm_resolve64(atb_, flag_vehva);
+            const std::uint8_t want = protocol::next_gen(recv_gen_[next_]);
+            const sim::duration_ns step[] = {word.cost};
+            const sim::poll_ready_fn ready = [&](std::size_t, sim::time_ns now) {
+                return flag_poll_fires(word.peek(), want, cfg_.idle_timeout_ns,
+                                       idle_start, now);
+            };
             for (;;) {
                 inj.check_target_alive(int(cfg_.node));
-                const std::uint64_t flag_vehva =
-                    comm_vehva_ + lay.recv_base() + lay.recv.flag_offset(next_);
-                const std::uint64_t raw =
-                    aurora::vedma::lhm_load64(atb_, flag_vehva);
-                flag = protocol::decode_flag(raw);
-                if (flag.present() &&
-                    flag.gen == protocol::next_gen(recv_gen_[next_])) {
+                sim::poll_cycle(step, 0, ready);
+                flag = protocol::decode_flag(word.peek());
+                if (flag.present() && flag.gen == want) {
                     if (flag.epoch == cfg_.epoch) {
                         break;
                     }
@@ -262,8 +298,7 @@ public:
                     aurora::vedma::shm_store64(atb_, flag_vehva, 0);
                     heal::note_epoch_reject("vedma", cfg_.node);
                 }
-                if (cfg_.idle_timeout_ns > 0 &&
-                    sim::now() - idle_start >= cfg_.idle_timeout_ns) {
+                if (idle_expired(cfg_.idle_timeout_ns, idle_start, sim::now())) {
                     inj.note_idle_timeout();
                     throw aurora::fault::target_killed{};
                 }

@@ -37,6 +37,11 @@
 //   * it runs under the scheduler mutex, on another OS thread than the
 //     poller's: state it reads was written by simulated processes and is
 //     ordered by that mutex.
+// Consumers:
+//   * net::cluster::gateway_loop — the flight checks of every iteration, and
+//     the whole cycle of an iteration that made no progress;
+//   * the VE side of the veo and vedma protocols (offload/app_image.cpp) —
+//     each receive flag probe, a one-step cycle.
 #pragma once
 
 #include <condition_variable>

@@ -52,13 +52,17 @@ sim::duration_ns shm_words_time(const sim::cost_model& cm, std::uint64_t words,
     return t;
 }
 
-std::uint64_t lhm_load64(dmaatb& atb, std::uint64_t vehva) {
+lhm_word lhm_resolve64(dmaatb& atb, std::uint64_t vehva) {
     check_on_ve(atb.proc());
     const dma_resolution r = resolve_host_words(atb, vehva, 8);
-    sim::advance(lhm_words_time(atb.proc().plat().costs(), 1, crosses(atb, r)));
-    std::uint64_t v;
-    std::memcpy(&v, r.vh_ptr, sizeof(v));
-    return v;
+    return {r.vh_ptr,
+            lhm_words_time(atb.proc().plat().costs(), 1, crosses(atb, r))};
+}
+
+std::uint64_t lhm_load64(dmaatb& atb, std::uint64_t vehva) {
+    const lhm_word w = lhm_resolve64(atb, vehva);
+    sim::advance(w.cost);
+    return w.peek();
 }
 
 void shm_store64(dmaatb& atb, std::uint64_t vehva, std::uint64_t value) {

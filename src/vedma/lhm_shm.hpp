@@ -12,10 +12,29 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 
 #include "vedma/dmaatb.hpp"
 
 namespace aurora::vedma {
+
+/// One 64-bit host word as LHM sees it, for polling loops that wait through
+/// sim::poll_cycle: what one load costs, and a peek at the word that does not
+/// advance the clock. lhm_load64() is advance(cost) followed by peek().
+struct lhm_word {
+    const std::byte* vh_ptr = nullptr;
+    sim::duration_ns cost = 0;
+
+    [[nodiscard]] std::uint64_t peek() const noexcept {
+        std::uint64_t v;
+        std::memcpy(&v, vh_ptr, sizeof(v));
+        return v;
+    }
+};
+
+/// Resolve the registered host word at `vehva` for LHM loads. VE process
+/// only; untimed.
+[[nodiscard]] lhm_word lhm_resolve64(dmaatb& atb, std::uint64_t vehva);
 
 /// Load one 64-bit word from registered host memory. VE-initiated; timed.
 std::uint64_t lhm_load64(dmaatb& atb, std::uint64_t vehva);

@@ -6,8 +6,9 @@
 //   * remote-node VE kill -> heal with exactly-once execution and no
 //     cross-tenant stall,
 //   * terminal remote failure settles futures with target_failed_error,
-//   * idle gateway probes evaluated inline by the scheduler change nothing
-//     observable but the handoff count.
+//   * gateway probes evaluated inline by the scheduler (idle iterations and
+//     the flight checks of busy ones) change nothing observable but the
+//     handoff count, with or without tracing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include "net/net.hpp"
 #include "offload/offload.hpp"
 #include "sim/platform.hpp"
+#include "trace/trace.hpp"
 
 namespace aurora::net {
 namespace {
@@ -361,7 +363,7 @@ TEST_F(Cluster, NodeStatusRollup) {
     });
 }
 
-// --- idle gateway cycle --------------------------------------------------------
+// --- inline gateway probes -----------------------------------------------------
 
 void skew_work(std::int64_t ns) { sim::advance(ns); }
 
@@ -377,7 +379,15 @@ std::uint64_t counter_family_total(std::string_view family) {
     return total;
 }
 
-/// Everything GatewayIdleCycleIsExact pins about one skewed 4x4 batch.
+/// Shape of one skewed 4x4 batch: the executor's per-engine window and
+/// remote steal threshold, and the number of tasks.
+struct skew_batch_shape {
+    std::uint32_t window = 2;
+    std::uint32_t remote_steal_threshold = 2;
+    std::int64_t tasks = 128;
+};
+
+/// Everything the gateway goldens pin about one skewed 4x4 batch.
 struct skew_batch_result {
     std::uint64_t order_hash = 0; ///< FNV-1a over completion_order()
     sim::time_ns final_ns = 0;
@@ -389,7 +399,7 @@ struct skew_batch_result {
     sim::simulation::statistics sim;
 };
 
-skew_batch_result run_skew_batch() {
+skew_batch_result run_skew_batch(const skew_batch_shape& shape = {}) {
     skew_batch_result r;
     constexpr std::string_view kPolls = "aurora_backend_polls_total";
     constexpr std::string_view kFrames = "aurora_net_link_frames_total";
@@ -408,18 +418,18 @@ skew_batch_result run_skew_batch() {
         cluster_executor_config cfg;
         cfg.policy = sched::placement_policy::work_stealing;
         cfg.scope = sched::steal_scope::local_then_remote;
-        cfg.window = 2;
-        cfg.remote_steal_threshold = 2;
+        cfg.window = shape.window;
+        cfg.remote_steal_threshold = shape.remote_steal_threshold;
         cluster_executor ex(c, cfg);
         // One task in eight is 20x heavier; half the batch piles onto node 1.
-        for (std::int64_t i = 0; i < 128; ++i) {
+        for (std::int64_t i = 0; i < shape.tasks; ++i) {
             const std::int64_t cost =
                 i % 8 == 0 ? 60'000 + 10'000 * (i % 5) : 3'000 + 1'000 * (i % 7);
             const int affinity = i % 8 < 4 ? 1 : i % 8 < 6 ? 2 : i % 8 < 7 ? 3 : 0;
             ex.submit(ham::f2f<&skew_work>(cost), affinity);
         }
         ex.wait_all();
-        EXPECT_EQ(ex.stats().completed, 128u);
+        EXPECT_EQ(ex.stats().completed, static_cast<std::uint64_t>(shape.tasks));
         r.order_hash = 1469598103934665603ull;
         for (const auto id : ex.completion_order()) {
             r.order_hash = (r.order_hash ^ id) * 1099511628211ull;
@@ -451,6 +461,45 @@ TEST_F(Cluster, GatewayIdleCycleIsExact) {
     // The mechanism: the plain loop took 8876 handoffs.
     EXPECT_LE(r.sim.context_switches, 8'876u * 7 / 10);
     EXPECT_GT(r.sim.inline_probes, 0u);
+}
+
+/// Several flights per gateway: window 4 on every engine keeps up to 16
+/// offloads in flight per node, so most gateway iterations make progress and
+/// still check every remaining flight.
+constexpr skew_batch_shape kBusyGateways{4, 4, 192};
+
+void expect_busy_gateway_goldens(const skew_batch_result& r) {
+    // Recorded with gateways that ran every flight check on their own thread
+    // (one handoff per check).
+    EXPECT_EQ(r.order_hash, 6131899794462732927ull);
+    EXPECT_EQ(r.final_ns, 492'100);
+    EXPECT_EQ(r.steals_local, 45u);
+    EXPECT_EQ(r.steals_remote, 45u);
+    EXPECT_EQ(r.polls, 4'045u);
+    EXPECT_EQ(r.frames, 299u);
+    EXPECT_EQ(r.backpressure, 572u);
+}
+
+TEST_F(Cluster, GatewayFlightChecksAreExact) {
+    // The flight checks of a gateway iteration that made progress wait in
+    // one sim::poll_cycle too. With only idle iterations parked, this batch
+    // took 3340 handoffs; 2316 now.
+    const skew_batch_result r = run_skew_batch(kBusyGateways);
+    expect_busy_gateway_goldens(r);
+    EXPECT_LE(r.sim.context_switches, 3'340u * 8 / 10);
+    EXPECT_GT(r.sim.inline_probes, 0u);
+}
+
+TEST_F(Cluster, GatewayFlightChecksUnderTracingAreExact) {
+    // Tracing timestamps every probe, so runtime::idle_probe refuses and
+    // every flight check fires: the gateways run each one on their own
+    // thread, with the same virtual results.
+    trace::set_enabled(true);
+    trace::collector::instance().reset();
+    const skew_batch_result r = run_skew_batch(kBusyGateways);
+    trace::set_enabled(false);
+    trace::collector::instance().reset();
+    expect_busy_gateway_goldens(r);
 }
 
 } // namespace
