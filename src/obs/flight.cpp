@@ -72,9 +72,12 @@ namespace {
 struct registry_state {
     std::mutex mu;
     std::map<std::uint16_t, std::unique_ptr<flight_ring>> rings;
-    /// Lock-free fast path: one pointer slot per possible node id.
-    std::array<std::atomic<flight_ring*>, 65536> cache{};
 };
+
+/// Lock-free fast path: one pointer slot per possible node id. Constant
+/// initialized, so the 512 KiB stay in .bss and only the pages of node ids
+/// actually used become resident.
+constinit std::array<std::atomic<flight_ring*>, 65536> g_cache{};
 
 registry_state& state() {
     static registry_state* s = new registry_state(); // never destroyed
@@ -93,21 +96,21 @@ std::uint32_t ring_capacity() {
 } // namespace
 
 flight_ring& flight_registry::ring_for(std::uint16_t node) {
-    registry_state& s = state();
-    if (flight_ring* r = s.cache[node].load(std::memory_order_acquire)) {
+    if (flight_ring* r = g_cache[node].load(std::memory_order_acquire)) {
         return *r;
     }
+    registry_state& s = state();
     const std::lock_guard<std::mutex> lock(s.mu);
     auto& slot = s.rings[node];
     if (!slot) {
         slot = std::make_unique<flight_ring>(ring_capacity());
-        s.cache[node].store(slot.get(), std::memory_order_release);
+        g_cache[node].store(slot.get(), std::memory_order_release);
     }
     return *slot;
 }
 
 flight_ring* flight_registry::find(std::uint16_t node) {
-    return state().cache[node].load(std::memory_order_acquire);
+    return g_cache[node].load(std::memory_order_acquire);
 }
 
 std::vector<std::uint16_t> flight_registry::nodes() {
@@ -125,7 +128,7 @@ void flight_registry::reset() {
     registry_state& s = state();
     const std::lock_guard<std::mutex> lock(s.mu);
     for (const auto& [node, ring] : s.rings) {
-        s.cache[node].store(nullptr, std::memory_order_release);
+        g_cache[node].store(nullptr, std::memory_order_release);
     }
     s.rings.clear();
 }

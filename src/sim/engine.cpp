@@ -88,7 +88,9 @@ void process::thread_main() {
         sim_.make_ready_locked(*w, std::max(w->now_, now_));
     }
     join_waiters_.clear();
-    sim_.schedule_next_locked(this);
+    process* next = sim_.schedule_next_locked(this);
+    lk.unlock();
+    simulation::wake(next);
 }
 
 // --- simulation -------------------------------------------------------------
@@ -138,7 +140,10 @@ void simulation::run() {
     std::unique_lock<std::mutex> lk(mu_);
     AURORA_CHECK_MSG(!started_, "simulation::run() may only be called once");
     started_ = true;
-    schedule_next_locked(nullptr);
+    process* first = schedule_next_locked(nullptr);
+    lk.unlock();
+    wake(first);
+    lk.lock();
     done_cv_.wait(lk, [&] { return done_; });
     lk.unlock();
     for (auto& p : processes_) {
@@ -160,7 +165,7 @@ void simulation::make_ready_locked(process& p, time_ns wake) {
     p.ready_seq_ = ++ready_seq_counter_;
 }
 
-void simulation::schedule_next_locked(process* leaving) {
+process* simulation::schedule_next_locked(process* leaving) {
     for (;;) {
         if (aborted_) {
             running_proc_ = nullptr;
@@ -171,7 +176,7 @@ void simulation::schedule_next_locked(process* leaving) {
                 done_ = true;
                 done_cv_.notify_all();
             }
-            return;
+            return nullptr;
         }
 
         process* best = nullptr;
@@ -192,7 +197,7 @@ void simulation::schedule_next_locked(process* leaving) {
                 "virtual deadline of " + std::to_string(deadline_) +
                 " ns exceeded (next wake-up at " + std::to_string(best->wake_) +
                 " ns in '" + best->name_ + "')")));
-            return;
+            return nullptr;
         }
         clock_ = std::max(clock_, best->wake_);
         if (best->poll_ != nullptr && !probe_locked(*best)) {
@@ -202,8 +207,7 @@ void simulation::schedule_next_locked(process* leaving) {
             ++stats_.context_switches;
         }
         running_proc_ = best;
-        best->cv_.notify_one();
-        return;
+        return best == leaving ? nullptr : best;
     }
 
     running_proc_ = nullptr;
@@ -214,9 +218,16 @@ void simulation::schedule_next_locked(process* leaving) {
     if (all_finished) {
         done_ = true;
         done_cv_.notify_all();
-        return;
+        return nullptr;
     }
     abort_locked(std::make_exception_ptr(simulation_error(deadlock_report_locked())));
+    return nullptr;
+}
+
+void simulation::wake(process* next) {
+    if (next != nullptr) {
+        next->cv_.notify_one();
+    }
 }
 
 bool simulation::probe_locked(process& p) {
@@ -268,19 +279,26 @@ void simulation::wait_for_grant_locked(std::unique_lock<std::mutex>& lk, process
     me.now_ = me.wake_;
 }
 
+void simulation::hand_off_locked(std::unique_lock<std::mutex>& lk, process& me) {
+    if (process* next = schedule_next_locked(&me)) {
+        lk.unlock();
+        wake(next);
+        lk.lock();
+    }
+    wait_for_grant_locked(lk, me);
+}
+
 void simulation::block_current_locked(std::unique_lock<std::mutex>& lk, process& me) {
     AURORA_ASSERT(running_proc_ == &me);
     me.st_ = process::state::blocked;
-    schedule_next_locked(&me);
-    wait_for_grant_locked(lk, me);
+    hand_off_locked(lk, me);
 }
 
 void simulation::reschedule_current_locked(std::unique_lock<std::mutex>& lk, process& me,
                                            duration_ns d) {
     AURORA_ASSERT(running_proc_ == &me);
     make_ready_locked(me, me.now_ + d);
-    schedule_next_locked(&me);
-    wait_for_grant_locked(lk, me);
+    hand_off_locked(lk, me);
 }
 
 std::string simulation::deadlock_report_locked() const {

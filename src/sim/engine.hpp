@@ -14,6 +14,32 @@
 //     "free", which is exactly what we want: functional behaviour is real,
 //     timing comes from the calibrated cost model.
 //
+// Handoff protocol. Every process thread waits on its own condition variable
+// until `running_proc_` names it. A process that gives up the CPU (advance,
+// a blocking wait, the end of its body) and run() itself hand off in three
+// steps:
+//   1. decide under mu_: schedule_next_locked() picks the next process and
+//      sets `running_proc_` to it, but does not notify it;
+//   2. wake after unlock: the caller releases mu_ and only then calls
+//      notify_one() on the chosen process's condition variable, so the woken
+//      thread does not run straight into a held mutex and block a second
+//      time (one context switch per handoff instead of two);
+//   3. the wakee re-checks its grant: it re-reads `running_proc_ == &me`
+//      under mu_ before it runs, so a notify that arrives before it waits, or
+//      a spurious wake-up, loses nothing.
+// A grant back to the leaving process needs no wake-up. abort_locked() still
+// wakes every process under the lock; each then sees `aborted_`.
+// Two faster designs were measured and rejected; do not switch to them
+// without first bounding perfbench's per-repetition memory retention:
+//   * per-process raw futex words: 1.87-1.93x the `offload_pingpong`
+//     `host_rps` of the old notify-under-lock engine (this design: ~1.8x),
+//     but the extra repetitions perfbench retains (~35 KiB each) pushed
+//     `peak_rss_mib` up 15.3% and 15.4% in two 20 s pairs, past its 15%
+//     bound;
+//   * std::atomic<bool>::wait (libstdc++ 12): its waiter pool is shared
+//     across hashed addresses, and `cluster_skew` fell from 14.2k to 5.7k
+//     `host_rps`.
+//
 // Inline idle probes (sim::poll_cycle). A polling loop that mostly finds
 // nothing costs one OS-thread handoff per probe. poll_cycle() lets the
 // scheduler run such a probe itself: the poller parks with a cycle of step
@@ -184,14 +210,25 @@ private:
     friend std::size_t poll_cycle(std::span<const duration_ns>, std::size_t,
                                   const poll_ready_fn&);
 
+    /// Wake `next` (may be null). Call with mu_ released, so the woken
+    /// thread does not run straight into a held mutex.
+    static void wake(process* next);
+
     // All private methods below require lk to hold mu_.
     void make_ready_locked(process& p, time_ns wake);
-    void schedule_next_locked(process* leaving);
+    /// Grant the CPU to the next process (running_proc_) without waking it.
+    /// Returns the process the caller must wake() once it has released mu_,
+    /// or nullptr when there is none: the grant went back to `leaving`, the
+    /// run is over, or it aborted (abort_locked() already woke everyone).
+    [[nodiscard]] process* schedule_next_locked(process* leaving);
     /// Evaluate the parked poller `p`'s predicate at its wake time. False
     /// when the step was fruitless and `p` was re-enqueued for the next one.
     [[nodiscard]] bool probe_locked(process& p);
     void abort_locked(std::exception_ptr error);
     void wait_for_grant_locked(std::unique_lock<std::mutex>& lk, process& me);
+    /// schedule_next_locked(&me), wake the chosen process with mu_ released,
+    /// then wait until `me` is granted the CPU again.
+    void hand_off_locked(std::unique_lock<std::mutex>& lk, process& me);
     void block_current_locked(std::unique_lock<std::mutex>& lk, process& me);
     void reschedule_current_locked(std::unique_lock<std::mutex>& lk, process& me,
                                    duration_ns d);

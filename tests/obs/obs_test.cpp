@@ -128,6 +128,28 @@ TEST(FlightRegistry, RingsAreSharedAndEnumerable) {
     EXPECT_TRUE(flight_registry::nodes().empty());
 }
 
+TEST(FlightRegistry, EdgeNodeIdsRoundTripThroughReset) {
+    flight_registry::reset();
+    for (const std::uint16_t node : {std::uint16_t{0}, std::uint16_t{65535}}) {
+        SCOPED_TRACE("node " + std::to_string(node));
+        EXPECT_EQ(flight_registry::find(node), nullptr);
+        flight_ring& r = flight_registry::ring_for(node);
+        EXPECT_EQ(flight_registry::find(node), &r);
+        EXPECT_EQ(&flight_registry::ring_for(node), &r);
+        r.note(stage::post, 5, 1, 0);
+        EXPECT_EQ(r.pushed(), 1u);
+    }
+    EXPECT_EQ(flight_registry::nodes(), (std::vector<std::uint16_t>{0, 65535}));
+    flight_registry::reset();
+    EXPECT_EQ(flight_registry::find(0), nullptr);
+    EXPECT_EQ(flight_registry::find(65535), nullptr);
+    EXPECT_TRUE(flight_registry::nodes().empty());
+    // A ring made after reset() is a fresh one.
+    EXPECT_EQ(flight_registry::ring_for(65535).pushed(), 0u);
+    EXPECT_EQ(flight_registry::find(65535), &flight_registry::ring_for(65535));
+    flight_registry::reset();
+}
+
 TEST(Postmortem, JsonCarriesPartialRequestTimelines) {
     flight_registry::reset();
     flight_ring& ring = flight_registry::ring_for(2);
