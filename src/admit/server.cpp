@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
 
 #include "obs/obs.hpp"
 #include "offload/runtime.hpp"
@@ -321,6 +322,9 @@ request server::submit_serialized(session_id sid, std::vector<std::byte> msg,
     r->topts.cost_ns = ro.cost_ns;
     r->topts.deadline_ns = r->deadline_ns;
     s.queue.push_back(r);
+    if (r->deadline_ns > 0) {
+        deadline_floor_ = std::min(deadline_floor_, r->deadline_ns);
+    }
     if (s.queue.size() == 1) {
         active_.emplace(sid, &s);
     }
@@ -351,6 +355,10 @@ void server::expire_request(session_rec& s, const request_ptr& r) {
 
 bool server::expire_queued() {
     const sim::time_ns now = sim::now();
+    if (now < deadline_floor_) {
+        return false; // no queued deadline can be due yet
+    }
+    deadline_floor_ = std::numeric_limits<sim::time_ns>::max();
     bool progress = false;
     for (auto ait = active_.begin(); ait != active_.end();) {
         session_rec& s = *ait->second;
@@ -363,6 +371,9 @@ bool server::expire_queued() {
                 --queued_total_;
                 progress = true;
             } else {
+                if (r->deadline_ns > 0) {
+                    deadline_floor_ = std::min(deadline_floor_, r->deadline_ns);
+                }
                 ++it;
             }
         }
@@ -463,6 +474,10 @@ bool server::dispatch_queued() {
 }
 
 bool server::reconcile() {
+    if (exec_.settled() == reconciled_at_) {
+        return false; // nothing settled since the last pass
+    }
+    reconciled_at_ = exec_.settled();
     bool progress = false;
     for (auto it = inflight_.begin(); it != inflight_.end();) {
         const request_ptr r = *it;

@@ -21,6 +21,7 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -230,6 +231,14 @@ private:
     std::size_t open_sessions_ = 0;
     std::size_t queued_total_ = 0; ///< across all session queues
     std::vector<request_ptr> inflight_; ///< awaiting executor settlement
+    /// exec_.settled() at the last reconcile() pass: until it moves, no
+    /// request in inflight_ can have settled.
+    std::size_t reconciled_at_ = 0;
+    /// Lower bound on the earliest deadline among queued requests (max when
+    /// none has one): expire_queued() skips its sweep while now is below it.
+    /// A request that leaves its queue may leave it stale, i.e. too low;
+    /// the next sweep recomputes it.
+    sim::time_ns deadline_floor_ = std::numeric_limits<sim::time_ns>::max();
     std::vector<breaker> breakers_;     ///< index = target - 1
     /// Round-robin cursors per QoS class (session-id the next scan starts
     /// after), keeping WFQ fair across polls and deterministic.

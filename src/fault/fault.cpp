@@ -94,6 +94,22 @@ bool injector::killed(int node) const {
     return it != nodes_.end() && it->second.killed;
 }
 
+bool injector::would_kill(int node, sim::time_ns now) const {
+    if (!armed()) {
+        return false;
+    }
+    const auto it = nodes_.find(node);
+    if (it == nodes_.end()) {
+        return false;
+    }
+    const node_plan& p = it->second;
+    return p.killed || p.fenced ||
+           std::any_of(p.kill_times.begin(), p.kill_times.end(),
+                       [now](sim::time_ns t) { return now >= t; }) ||
+           std::any_of(p.kill_counts.begin(), p.kill_counts.end(),
+                       [&p](std::uint64_t n) { return p.msgs_seen >= n; });
+}
+
 void injector::revive(int node) {
     const auto it = nodes_.find(node);
     if (it == nodes_.end() || (!it->second.killed && !it->second.fenced)) {

@@ -93,8 +93,7 @@ public:
     [[nodiscard]] bool active() const noexcept {
         return active_.load(std::memory_order_relaxed);
     }
-    /// Any deterministic kill / attach-failure schedule outstanding? Pure:
-    /// safe inside a sim::poll_cycle predicate.
+    /// Any deterministic kill / attach-failure schedule outstanding?
     [[nodiscard]] bool armed() const noexcept {
         return armed_.load(std::memory_order_relaxed);
     }
@@ -120,6 +119,11 @@ public:
 
     /// Death already triggered for `node`?
     [[nodiscard]] bool killed(int node) const;
+    /// Would check_target_alive(node) at virtual time `now` throw? True when
+    /// the death latch or the kill_now fence is set, a time trigger is at or
+    /// before `now`, or a message-count trigger has been reached. Pure (it
+    /// consumes no trigger): safe inside a sim::poll_cycle predicate.
+    [[nodiscard]] bool would_kill(int node, sim::time_ns now) const;
     /// aurora::heal respawn hook: clear `node`'s death latch and host fence so
     /// the next incarnation lives. Pending time/count kill triggers and attach
     /// failures are left armed — a kill chain keeps firing across recoveries.

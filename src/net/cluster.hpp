@@ -184,6 +184,11 @@ public:
     // --- detail::result_source (routed completions) ---------------------------
     bool try_collect(ham::offload::node_t node, std::uint64_t ticket,
                      std::uint32_t slot, std::vector<std::byte>& out) override;
+    /// try_collect() itself: it charges no probe cost of its own.
+    bool collect_probe(ham::offload::node_t node, std::uint64_t ticket,
+                       std::uint32_t slot, std::vector<std::byte>& out) override {
+        return try_collect(node, ticket, slot, out);
+    }
     void wait_collect(ham::offload::node_t node, std::uint64_t ticket,
                       std::uint32_t slot, std::vector<std::byte>& out) override;
     bool wait_collect_until(ham::offload::node_t node, std::uint64_t ticket,

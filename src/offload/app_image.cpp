@@ -62,15 +62,16 @@ bool idle_expired(std::int64_t timeout_ns, sim::time_ns idle_start,
 
 /// The `ready` predicate of a receive flag poll's sim::poll_cycle, given the
 /// flag word `raw` a probe at `now` reads: true whenever the plain poll would
-/// act on that probe. That is when a kill schedule is armed (its liveness
-/// check must run on the VE's thread), when the expected generation is
-/// present (a message, or a stale-epoch flag to clear), or when the idle
-/// deadline has passed. Otherwise the probe is provably fruitless.
-bool flag_poll_fires(std::uint64_t raw, std::uint8_t want,
+/// act on that probe. That is when the liveness check that follows the probe
+/// would kill `node` (it must throw on the VE's thread), when the expected
+/// generation is present (a message, or a stale-epoch flag to clear), or
+/// when the idle deadline has passed. Otherwise the probe is provably
+/// fruitless.
+bool flag_poll_fires(int node, std::uint64_t raw, std::uint8_t want,
                      std::int64_t timeout_ns, sim::time_ns idle_start,
                      sim::time_ns now) {
     const protocol::flag_word flag = protocol::decode_flag(raw);
-    return aurora::fault::injector::instance().armed() ||
+    return aurora::fault::injector::instance().would_kill(node, now) ||
            (flag.present() && flag.gen == want) ||
            idle_expired(timeout_ns, idle_start, now);
 }
@@ -117,7 +118,8 @@ public:
         const std::uint8_t want = protocol::next_gen(recv_gen_[next_]);
         const sim::duration_ns step[] = {cm.local_poll_ns};
         const sim::poll_ready_fn ready = [&](std::size_t, sim::time_ns now) {
-            return flag_poll_fires(proc_.mem().load_u64(flag_addr), want,
+            return flag_poll_fires(int(cfg_.node),
+                                   proc_.mem().load_u64(flag_addr), want,
                                    cfg_.idle_timeout_ns, idle_start, now);
         };
         for (;;) {
@@ -280,8 +282,8 @@ public:
             const std::uint8_t want = protocol::next_gen(recv_gen_[next_]);
             const sim::duration_ns step[] = {word.cost};
             const sim::poll_ready_fn ready = [&](std::size_t, sim::time_ns now) {
-                return flag_poll_fires(word.peek(), want, cfg_.idle_timeout_ns,
-                                       idle_start, now);
+                return flag_poll_fires(int(cfg_.node), word.peek(), want,
+                                       cfg_.idle_timeout_ns, idle_start, now);
             };
             for (;;) {
                 inj.check_target_alive(int(cfg_.node));

@@ -31,6 +31,10 @@ public:
     /// with [result_header][payload].
     virtual bool try_collect(node_t node, std::uint64_t ticket, std::uint32_t slot,
                              std::vector<std::byte>& out) = 0;
+    /// try_collect() without the probe's cost, for a caller that already
+    /// paid it (e.g. in a sim::poll_cycle step).
+    virtual bool collect_probe(node_t node, std::uint64_t ticket,
+                               std::uint32_t slot, std::vector<std::byte>& out) = 0;
     /// Blocking variant.
     virtual void wait_collect(node_t node, std::uint64_t ticket, std::uint32_t slot,
                               std::vector<std::byte>& out) = 0;
@@ -174,17 +178,12 @@ public:
     }
 
     /// Non-blocking readiness probe.
-    [[nodiscard]] bool test() {
-        AURORA_CHECK_MSG(valid(), "test() on an invalid future");
-        if (s_->ready) {
-            return true;
-        }
-        std::vector<std::byte> bytes;
-        if (!s_->src->try_collect(s_->node, s_->ticket, s_->slot, bytes)) {
-            return false;
-        }
-        absorb(bytes);
-        return true;
+    [[nodiscard]] bool test() { return probe(&detail::result_source::try_collect); }
+
+    /// test() whose probe cost the caller already paid, e.g. in the
+    /// sim::poll_cycle step that found this future worth probing.
+    [[nodiscard]] bool test_paid() {
+        return probe(&detail::result_source::collect_probe);
     }
 
     /// Bounded readiness wait on *virtual* time: poll until the result lands
@@ -264,6 +263,22 @@ public:
     }
 
 private:
+    using collect_fn = bool (detail::result_source::*)(
+        node_t, std::uint64_t, std::uint32_t, std::vector<std::byte>&);
+
+    bool probe(collect_fn collect) {
+        AURORA_CHECK_MSG(valid(), "test() on an invalid future");
+        if (s_->ready) {
+            return true;
+        }
+        std::vector<std::byte> bytes;
+        if (!(s_->src->*collect)(s_->node, s_->ticket, s_->slot, bytes)) {
+            return false;
+        }
+        absorb(bytes);
+        return true;
+    }
+
     void absorb(const std::vector<std::byte>& bytes) {
         AURORA_CHECK(bytes.size() >= sizeof(protocol::result_header));
         protocol::result_header h;

@@ -160,7 +160,7 @@ public:
                      std::vector<std::byte>& out) override;
     /// try_collect() without its charge: the result probe alone.
     bool collect_probe(node_t node, std::uint64_t ticket, std::uint32_t slot,
-                       std::vector<std::byte>& out);
+                       std::vector<std::byte>& out) override;
     /// Stand-in for a collect_probe() that finds nothing, for sim::poll_cycle
     /// predicates (no simulator call). True when the probe provably finds no
     /// result; the probe's own counters are then bumped exactly as it would

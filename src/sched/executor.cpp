@@ -347,9 +347,7 @@ bool executor::drain_once() {
     }
 
     // 2. Harvest completed flights (lowest node first, FIFO per target).
-    for (std::size_t t = 0; t < num_targets_; ++t) {
-        progress = harvest_target(t) || progress;
-    }
+    progress = harvest_all() || progress;
 
     // 3. Fill the in-flight windows.
     for (std::size_t t = 0; t < num_targets_; ++t) {
@@ -391,7 +389,45 @@ void executor::run_host_task(task_id id) {
                 std::move(err));
 }
 
-bool executor::harvest_target(std::size_t t) {
+bool executor::harvest_all() {
+    // The front-flight checks of consecutive targets wait in one
+    // sim::poll_cycle, one ham_future_check_ns step per target: the
+    // scheduler proves a fruitless check with runtime::idle_probe instead of
+    // handing the CPU back to this process. The last step always fires; the
+    // target whose step fired is probed for real, its check already paid.
+    // No flight is completed between drains (harvest_target retires a
+    // flight as soon as its probe completes it), so every target with a
+    // flight out owes its front flight one check.
+    const aurora::sim::poll_ready_fn fires = [this](std::size_t step,
+                                                    aurora::sim::time_ns) {
+        if (step + 1 == sweep_.size()) {
+            return true;
+        }
+        const std::size_t t = sweep_[step];
+        const flight& f = targets_[t].inflight.front();
+        return !rt_.idle_probe(node_of(t), f.ticket, f.slot);
+    };
+    bool progress = false;
+    for (std::size_t t = 0; t < num_targets_;) {
+        sweep_.clear();
+        for (std::size_t u = t; u < num_targets_; ++u) {
+            if (!targets_[u].inflight.empty()) {
+                sweep_.push_back(u);
+            }
+        }
+        if (sweep_.empty()) {
+            break;
+        }
+        sweep_costs_.assign(sweep_.size(), rt_.costs().ham_future_check_ns);
+        const std::size_t fired =
+            sweep_[aurora::sim::poll_cycle(sweep_costs_, 0, fires)];
+        progress = harvest_target(fired, true) || progress;
+        t = fired + 1;
+    }
+    return progress;
+}
+
+bool executor::harvest_target(std::size_t t, bool paid) {
     target_queues& tq = targets_[t];
     bool progress = false;
     // The target loop serves messages in send order, so flights complete
@@ -401,7 +437,8 @@ bool executor::harvest_target(std::size_t t) {
         flight& f = tq.inflight.front();
         if (!*f.completed) {
             // on_ready marks `completed` when the result lands.
-            static_cast<void>(f.fut.test());
+            static_cast<void>(paid ? f.fut.test_paid() : f.fut.test());
+            paid = false;
         }
         if (!*f.completed) {
             break;
@@ -467,12 +504,21 @@ bool executor::dispatch_target(std::size_t t) {
         static_cast<void>(rt_.slots_available(node));
         return false;
     }
+    const std::uint32_t win = effective_window(t);
+    // Nothing to send: the window is full, or the queue is empty and there
+    // is nothing to steal. Most drains end here, before the allocations
+    // below. (A successful steal fills the queue, so the loop's first pass
+    // does not steal again.)
+    if (tq.inflight.size() >= win ||
+        (tq.ready.empty() &&
+         (cfg_.policy != placement_policy::work_stealing || !steal_into(t)))) {
+        return false;
+    }
     bool progress = false;
 
-    const std::uint32_t win = effective_window(t);
-    // One pooled payload builder (and group scratch) for the whole drain:
-    // reset() rewinds the builder but keeps its heap buffer, so steady-state
-    // dispatch allocates nothing per group (aurora::mem satellite).
+    // One payload builder for this call: reset() rewinds it but keeps its
+    // heap buffer. Each sent group still allocates: its task list moves into
+    // the flight, and the flight allocates its future and completion flag.
     std::vector<task_id> group;
     ham::offload::protocol::batch_builder batch{slot_capacity(rt_)};
     while (tq.inflight.size() < win) {
@@ -569,6 +615,8 @@ bool executor::dispatch_target(std::size_t t) {
         flight f;
         f.fut = ham::offload::future<void>::remote(rt_, node, sent.ticket,
                                                    sent.slot);
+        f.ticket = sent.ticket;
+        f.slot = sent.slot;
         f.tasks = std::move(group);
         f.completed = std::make_shared<bool>(false);
         f.fut.on_ready([done = f.completed] { *done = true; });

@@ -104,6 +104,9 @@ public:
     [[nodiscard]] std::size_t unfinished() const noexcept {
         return tasks_.size() - finished_count_;
     }
+    /// Tasks settled so far; it only grows, so an unchanged value means no
+    /// task settled in between.
+    [[nodiscard]] std::size_t settled() const noexcept { return finished_count_; }
     [[nodiscard]] const executor_config& config() const noexcept { return cfg_; }
 
     /// Counters; per_target queue depths are refreshed on each call.
@@ -130,6 +133,8 @@ public:
 private:
     struct flight {
         ham::offload::future<void> fut;
+        std::uint64_t ticket = 0; ///< the future's, for runtime::idle_probe
+        std::uint32_t slot = 0;
         std::vector<task_id> tasks;
         /// Set by the future's on_ready callback; shared_ptr so the callback
         /// stays valid however the deque shuffles its elements.
@@ -157,7 +162,11 @@ private:
     void note_failure(const std::string& what);
     bool drain_once();
     void run_host_task(task_id id);
-    bool harvest_target(std::size_t t);
+    /// Drain step 2: harvest every target, lowest node first.
+    bool harvest_all();
+    /// Retire target t's completed flights in FIFO order. `paid`: the
+    /// caller already charged the front flight's probe.
+    bool harvest_target(std::size_t t, bool paid);
     void retire_flight(std::size_t t, flight& f);
     bool dispatch_target(std::size_t t);
     bool steal_into(std::size_t thief);
@@ -198,6 +207,11 @@ private:
 
     bool failed_ = false;
     std::string first_error_;
+
+    /// harvest_all() scratch, kept so a drain allocates nothing: the targets
+    /// whose front-flight checks wait in one sim::poll_cycle, and its costs.
+    std::vector<std::size_t> sweep_;
+    std::vector<aurora::sim::duration_ns> sweep_costs_;
 
     /// Registry-backed telemetry (always on): scheduler counters plus live
     /// per-target queue-depth / in-flight-window gauges, refreshed every

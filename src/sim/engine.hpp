@@ -66,8 +66,11 @@
 // Consumers:
 //   * net::cluster::gateway_loop — the flight checks of every iteration, and
 //     the whole cycle of an iteration that made no progress;
+//   * sched::executor's harvest sweep — the front-flight checks of
+//     consecutive targets in every drain (so every admit::server poll);
 //   * the VE side of the veo and vedma protocols (offload/app_image.cpp) —
-//     each receive flag probe, a one-step cycle.
+//     each receive flag probe, a one-step cycle; it fires only when the
+//     probe has work or a kill comes due (fault::injector::would_kill).
 #pragma once
 
 #include <condition_variable>

@@ -4,8 +4,11 @@
 // ran every probe on their own thread; each run must reproduce them exactly:
 //   * multi-VE vedma and veo runs with host-side gaps (final virtual time,
 //     hash of every request's completion instant);
-//   * the same runs with a kill schedule armed once the VEs are up, which
-//     makes every probe fire (the plain loop, handoff for handoff);
+//   * the same runs with a kill schedule armed once the VEs are up that
+//     never comes due: its probes stay inline too;
+//   * kills that come due while the VE is parked (a time trigger, a host
+//     kill_now fence, a reached message count): the VE dies at the instant
+//     the plain loop, which ran every probe on the VE's thread, recorded;
 //   * a stale-epoch flag planted while the VE is parked: rejected once, the
 //     run continues;
 //   * the VE-side idle deadline (runtime_options::target_idle_timeout_ns):
@@ -103,8 +106,7 @@ gap_run run_with_gaps(const gap_shape& shape,
     return r;
 }
 
-/// Arm a kill schedule that never comes due within the run: every flag
-/// probe from here on fires and runs on the VE's own thread.
+/// Arm a kill schedule that never comes due within the run.
 void arm_distant_kill() {
     fault::injector::instance().kill_at_time(1, 1'000'000'000'000);
 }
@@ -141,11 +143,11 @@ TEST_F(VePoll, VedmaGapsAreExact) {
     EXPECT_LT(r.round_switches, 4'238u / 3);
 }
 
-TEST_F(VePoll, VedmaArmedKillScheduleTakesThePlainPath) {
+TEST_F(VePoll, VedmaDistantKillScheduleStaysInline) {
     const gap_run r = run_with_gaps(kVedma, arm_distant_kill);
     EXPECT_EQ(r.final_ns, 519'004'272);
     EXPECT_EQ(r.completion_hash, 6466885651836405387ull);
-    EXPECT_EQ(r.round_switches, 4'238u);
+    EXPECT_EQ(r.round_switches, 1'061u); // the plain loop: 4'238
 }
 
 TEST_F(VePoll, VedmaStaleFlagWhileParkedIsRejected) {
@@ -163,11 +165,11 @@ TEST_F(VePoll, VeoGapsAreExact) {
     EXPECT_LT(r.round_switches, 54'257u / 4);
 }
 
-TEST_F(VePoll, VeoArmedKillScheduleTakesThePlainPath) {
+TEST_F(VePoll, VeoDistantKillScheduleStaysInline) {
     const gap_run r = run_with_gaps(kVeo, arm_distant_kill);
     EXPECT_EQ(r.final_ns, 262'396'010);
     EXPECT_EQ(r.completion_hash, 1270670071158316239ull);
-    EXPECT_EQ(r.round_switches, 54'257u);
+    EXPECT_EQ(r.round_switches, 28u); // the plain loop: 54'257
 }
 
 TEST_F(VePoll, VeoStaleFlagWhileParkedIsRejected) {
@@ -177,11 +179,105 @@ TEST_F(VePoll, VeoStaleFlagWhileParkedIsRejected) {
     EXPECT_GT(r.sim.inline_probes, 0u);
 }
 
+// --- VE deaths while parked -------------------------------------------------
+
+/// The virtual instant the VE's receive poll ended in the traced run that
+/// just finished: the end of its last `recv_wait` span. Stops tracing.
+sim::time_ns last_recv_wait_end() {
+    aurora::trace::set_enabled(false);
+    std::uint64_t end = 0;
+    for (const auto& lane : aurora::trace::collector::instance().snapshot()) {
+        if (lane.name.rfind("VE", 0) != 0) {
+            continue;
+        }
+        for (const auto& e : lane.events) {
+            if (e.type == aurora::trace::event_type::span &&
+                std::string(e.name) == "recv_wait") {
+                end = std::max(end, e.ts_ns + e.dur_ns);
+            }
+        }
+    }
+    aurora::trace::collector::instance().reset();
+    return static_cast<sim::time_ns>(end);
+}
+
+/// One traced run on one VE: a few offloads, then `in_gap` on the host while
+/// the VE is parked at its flag poll, host silence, and an offload to the VE
+/// that died meanwhile. Returns the instant the VE's receive poll ended.
+sim::time_ns run_death_in_gap(backend_kind kind,
+                              const std::function<void()>& in_gap) {
+    runtime_options opt;
+    opt.backend = kind;
+    opt.reply_timeout_ns = 100'000;
+    opt.max_retries = 1;
+    aurora::trace::set_enabled(true);
+    aurora::trace::collector::instance().reset();
+    sim::platform plat(sim::platform_config::test_machine());
+    plat.sim().set_virtual_deadline(10'000'000'000);
+    EXPECT_EQ(run(plat, opt, [&] {
+        for (int k = 0; k < 3; ++k) {
+            EXPECT_EQ(sync(1, ham::f2f<&tk::add>(40, k)), 40 + k);
+        }
+        sim::advance(7'000);
+        in_gap();
+        sim::advance(1'000'000);
+        EXPECT_THROW(sync(1, ham::f2f<&tk::add>(1, 2)), target_failed_error);
+        EXPECT_EQ(runtime::current()->health(1), target_health::failed);
+    }), 0);
+    EXPECT_EQ(fault::injector::instance().stats().kills, 1u);
+    return last_recv_wait_end();
+}
+
+/// A time trigger set while the VE is parked, off the poll grid.
+void kill_by_time() {
+    fault::injector::instance().kill_at_time(1, sim::now() + 50'003);
+}
+
+/// A host kill_now fence while the VE is parked.
+void kill_by_fence() {
+    sim::advance(20'000);
+    fault::injector::instance().kill_now(1);
+}
+
+/// While the VE is parked, a message-count trigger it has already reached.
+/// Messages are counted only while a schedule is armed, so one is armed
+/// (never due) before the run.
+sim::time_ns run_counted_death(backend_kind kind) {
+    arm_distant_kill();
+    return run_death_in_gap(kind, [] {
+        fault::injector::instance().kill_after_messages(1, 2);
+    });
+}
+
+TEST_F(VePoll, VedmaTimeTriggerWhileParkedKillsOnTime) {
+    EXPECT_EQ(run_death_in_gap(backend_kind::vedma, kill_by_time), 129'642'576);
+}
+
+TEST_F(VePoll, VeoTimeTriggerWhileParkedKillsOnTime) {
+    EXPECT_EQ(run_death_in_gap(backend_kind::veo, kill_by_time), 130'761'350);
+}
+
+TEST_F(VePoll, VedmaKillNowWhileParkedKillsOnTime) {
+    EXPECT_EQ(run_death_in_gap(backend_kind::vedma, kill_by_fence), 129'612'776);
+}
+
+TEST_F(VePoll, VeoKillNowWhileParkedKillsOnTime) {
+    EXPECT_EQ(run_death_in_gap(backend_kind::veo, kill_by_fence), 130'731'350);
+}
+
+TEST_F(VePoll, VedmaReachedMessageCountKillsOnTime) {
+    EXPECT_EQ(run_counted_death(backend_kind::vedma), 129'592'661);
+}
+
+TEST_F(VePoll, VeoReachedMessageCountKillsOnTime) {
+    EXPECT_EQ(run_counted_death(backend_kind::veo), 130'711'350);
+}
+
 // --- VE-side idle deadline ---------------------------------------------------
 
 /// One offload, then host silence past the VE's idle deadline, then an
 /// offload to the VE that gave up. Returns the virtual instant its receive
-/// poll gave up: the end of its last `recv_wait` trace span.
+/// poll gave up.
 sim::time_ns run_idle_timeout(backend_kind kind) {
     runtime_options opt;
     opt.backend = kind;
@@ -198,22 +294,8 @@ sim::time_ns run_idle_timeout(backend_kind kind) {
         EXPECT_THROW(sync(1, ham::f2f<&tk::add>(1, 2)), target_failed_error);
         EXPECT_EQ(runtime::current()->health(1), target_health::failed);
     }), 0);
-    aurora::trace::set_enabled(false);
-    std::uint64_t gave_up = 0;
-    for (const auto& lane : aurora::trace::collector::instance().snapshot()) {
-        if (lane.name.rfind("VE", 0) != 0) {
-            continue;
-        }
-        for (const auto& e : lane.events) {
-            if (e.type == aurora::trace::event_type::span &&
-                std::string(e.name) == "recv_wait") {
-                gave_up = std::max(gave_up, e.ts_ns + e.dur_ns);
-            }
-        }
-    }
-    aurora::trace::collector::instance().reset();
     EXPECT_EQ(fault::injector::instance().stats().idle_timeouts, 1u);
-    return static_cast<sim::time_ns>(gave_up);
+    return last_recv_wait_end();
 }
 
 TEST_F(VePoll, VedmaIdleTimeoutGivesUpOnTime) {

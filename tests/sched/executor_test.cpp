@@ -1,5 +1,8 @@
-// Executor mechanics: backpressure, batching, failure propagation.
+// Executor mechanics: backpressure, batching, failure propagation, and
+// goldens of the harvest sweep (front-flight checks in one sim::poll_cycle).
 #include <gtest/gtest.h>
+
+#include "sim/platform.hpp"
 
 #include "tests/sched/sched_test_common.hpp"
 #include "util/check.hpp"
@@ -214,6 +217,119 @@ TEST(SchedExecutor, RuntimeStatsObservableMidFlight) {
         EXPECT_GE(rt.runtime_stats(1).completed, 2u);
         EXPECT_EQ(dummy, 2u);
     });
+}
+
+// --- harvest sweep goldens -----------------------------------------------------
+//
+// Recorded with an executor that probed every target's front flight on the
+// host's own thread, one plain ham_future_check_ns charge per probe.
+
+/// What a golden executor run pins down.
+struct sweep_run {
+    std::uint64_t completion_hash = 0; ///< FNV-1a over the completion records
+    std::vector<std::uint64_t> stats;  ///< counters, then per-target loads
+    aurora::sim::time_ns final_ns = 0;
+    aurora::sim::simulation::statistics sim;
+};
+
+std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
+    return (h ^ v) * 1099511628211ull;
+}
+
+/// Submit `n` seeded tasks (a skewed affinity mix, costs of 1-30 us, every
+/// seventh task depending on the one before), in waves separated by host
+/// gaps so the targets drain and idle, then wait for all of them.
+sweep_run run_sweep(aurora::sim::platform& plat,
+                    const ham::offload::runtime_options& opt,
+                    const executor_config& cfg, std::size_t n) {
+    sweep_run out;
+    std::vector<std::uint64_t> counters(n, 0);
+    EXPECT_EQ(ham::offload::run(plat, opt, [&] {
+        executor ex{cfg};
+        const auto targets = static_cast<std::uint64_t>(opt.targets.size());
+        std::uint64_t rng = 7'919;
+        const auto draw = [&rng](std::uint64_t below) {
+            rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+            return (rng >> 33) % below;
+        };
+        for (std::size_t i = 0; i < n; ++i) {
+            task_options o;
+            o.affinity = draw(10) < 7 ? 1 : node_t(1 + draw(targets));
+            const auto cost = static_cast<std::int64_t>(1'000 + draw(29'000));
+            if (i % 7 == 6) {
+                (void)ex.submit(
+                    ham::f2f<&sk::cost_kernel>(cost, &counters[i]), o,
+                    {static_cast<task_id>(i - 1)});
+            } else {
+                (void)ex.submit(ham::f2f<&sk::cost_kernel>(cost, &counters[i]),
+                                o);
+            }
+            if (i % 40 == 39) {
+                aurora::sim::advance(50'000);
+            }
+        }
+        ex.wait_all();
+        out.completion_hash = 1469598103934665603ull;
+        for (const completion_record& r : ex.trace()) {
+            out.completion_hash = fnv(out.completion_hash, r.id);
+            out.completion_hash =
+                fnv(out.completion_hash, static_cast<std::uint64_t>(r.executed_on));
+            out.completion_hash = fnv(out.completion_hash, r.done_time_ns);
+        }
+        const executor::statistics& st = ex.stats();
+        out.stats = {st.steals, st.batched_tasks, st.tasks_expired,
+                     st.tasks_failed};
+        for (const executor::target_load& l : st.per_target) {
+            out.stats.insert(out.stats.end(),
+                             {l.tasks_executed, l.messages_sent, l.batches_sent,
+                              l.tasks_stolen_in});
+        }
+    }), 0);
+    for (const std::uint64_t c : counters) {
+        EXPECT_EQ(c, 1u);
+    }
+    out.final_ns = plat.sim().now();
+    out.sim = plat.sim().stats();
+    return out;
+}
+
+TEST(SchedExecutor, StealingAndBatchingGoldenIsExact) {
+    aurora::sim::platform plat(aurora::sim::platform_config::test_machine());
+    const sweep_run r =
+        run_sweep(plat, loopback_targets(4),
+                  {.policy = placement_policy::work_stealing,
+                   .window = 2,
+                   .batching = true,
+                   .max_batch = 4},
+                  240);
+    EXPECT_EQ(r.completion_hash, 1731215484546445682ull);
+    EXPECT_EQ(r.stats, (std::vector<std::uint64_t>{34, 230, 0, 0,   //
+                                                   66, 18, 16, 0,  //
+                                                   59, 17, 14, 42, //
+                                                   61, 18, 15, 42, //
+                                                   54, 15, 13, 41}));
+    EXPECT_EQ(r.final_ns, 1'377'100);
+    // Loopback answers result_pending, so fruitless checks run inline and
+    // the run takes fewer than the plain probes' 1'293 handoffs.
+    EXPECT_GT(r.sim.inline_probes, 0u);
+    EXPECT_LT(r.sim.context_switches, 1'293u);
+}
+
+TEST(SchedExecutor, VedmaHarvestTakesThePlainPath) {
+    // vedma's result_pending answers `unknown`, so every sweep step fires
+    // and runs on the host's thread: handoff for handoff the plain probes.
+    ham::offload::runtime_options opt;
+    opt.backend = ham::offload::backend_kind::vedma;
+    opt.targets = {0, 1, 4};
+    aurora::sim::platform plat(aurora::sim::platform_config::a300_8());
+    const sweep_run r = run_sweep(plat, opt, {.window = 2, .max_batch = 4}, 84);
+    EXPECT_EQ(r.completion_hash, 8189947476189505532ull);
+    EXPECT_EQ(r.stats, (std::vector<std::uint64_t>{13, 80, 0, 0, //
+                                                   28, 8, 7, 0,  //
+                                                   26, 8, 7, 20, //
+                                                   30, 9, 7, 25}));
+    EXPECT_EQ(r.final_ns, 389'346'643);
+    EXPECT_EQ(r.sim.context_switches, 782u);
 }
 
 } // namespace
