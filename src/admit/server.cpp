@@ -491,6 +491,12 @@ bool server::reconcile() {
         breaker* b = on >= 1 && static_cast<std::size_t>(on) <= breakers_.size()
                          ? &breakers_[static_cast<std::size_t>(on) - 1]
                          : nullptr;
+        // While a breaker is half-open only its probe's outcome moves it:
+        // an unpinned request that happened to run there proves nothing.
+        if (b != nullptr && b->state() == breaker_state::half_open &&
+            !(r->probe && on == r->topts.affinity)) {
+            b = nullptr;
+        }
         // A probe that never reached its engine (rerouted, expired) settles
         // the outcome breaker normally but must free the probe slot on the
         // engine it was probing, or that breaker wedges half-open.

@@ -1,13 +1,16 @@
 #include "offload/app_image.hpp"
 
 #include <cstring>
+#include <string>
+#include <utility>
 #include <variant>
+#include <vector>
 
 #include "fault/fault.hpp"
 #include "mem/reg_cache.hpp"
 #include "mem/sg.hpp"
-#include "offload/heal.hpp"
 #include "offload/protocol.hpp"
+#include "offload/slot_protocol.hpp"
 #include "offload/target_loop.hpp"
 #include "sim/engine.hpp"
 #include "util/check.hpp"
@@ -27,54 +30,30 @@ constexpr std::uint64_t round_up8(std::uint64_t v) {
 
 // --- per-process configuration stored by the setup C-API ---------------------
 
-struct veo_target_cfg {
-    std::uint64_t comm_addr = 0;
+/// What both VE channels are set up with.
+struct ve_link_cfg {
     protocol::comm_layout layout{};
     node_t node = 0;
     std::int64_t idle_timeout_ns = 0; ///< 0 = poll forever
     std::uint8_t epoch = 0;           ///< incarnation (aurora::heal)
 };
 
-struct vedma_target_cfg {
+struct veo_target_cfg : ve_link_cfg {
+    std::uint64_t comm_addr = 0;
+};
+
+struct vedma_target_cfg : ve_link_cfg {
     const aurora::vedma::shm_registry* shms = nullptr;
     int shm_key = 0;
-    protocol::comm_layout layout{};
-    node_t node = 0;
     bool shm_small_results = false;
     std::uint32_t shm_result_threshold = 0;
     int staging_shm_key = 0; ///< 0 = DMA data path disabled
     std::uint64_t staging_chunk_bytes = 0;
-    std::int64_t idle_timeout_ns = 0; ///< 0 = poll forever
-    std::uint8_t epoch = 0;           ///< incarnation (aurora::heal)
     bool zero_copy = false; ///< accept zero-copy data_msg shapes (aurora::mem)
     int vh_socket = 0;      ///< socket of the host's user buffers
 };
 
 using target_cfg = std::variant<veo_target_cfg, vedma_target_cfg>;
-
-// --- the VE-side receive flag poll --------------------------------------------
-
-/// The VE's idle deadline (0 = none) has passed at `now`.
-bool idle_expired(std::int64_t timeout_ns, sim::time_ns idle_start,
-                  sim::time_ns now) {
-    return timeout_ns > 0 && now - idle_start >= timeout_ns;
-}
-
-/// The `ready` predicate of a receive flag poll's sim::poll_cycle, given the
-/// flag word `raw` a probe at `now` reads: true whenever the plain poll would
-/// act on that probe. That is when the liveness check that follows the probe
-/// would kill `node` (it must throw on the VE's thread), when the expected
-/// generation is present (a message, or a stale-epoch flag to clear), or
-/// when the idle deadline has passed. Otherwise the probe is provably
-/// fruitless.
-bool flag_poll_fires(int node, std::uint64_t raw, std::uint8_t want,
-                     std::int64_t timeout_ns, sim::time_ns idle_start,
-                     sim::time_ns now) {
-    const protocol::flag_word flag = protocol::decode_flag(raw);
-    return aurora::fault::injector::instance().would_kill(node, now) ||
-           (flag.present() && flag.gen == want) ||
-           idle_expired(timeout_ns, idle_start, now);
-}
 
 // --- target memory over the VE process's simulated HBM2 ----------------------
 
@@ -92,98 +71,165 @@ private:
     aurora::veos::ve_process& proc_;
 };
 
-// --- VE side of the VEO protocol (Fig. 5) ------------------------------------
+// --- the VE half of both protocols --------------------------------------------
 
-class veo_ve_channel final : public target_channel {
+/// The VE side of a slot protocol: the round-robin receive flag poll and the
+/// result publish, over a `Wire` that moves the bytes and flags. A Wire has
+///   name                          backend label of epoch-reject counts
+///   recv_flag(slot)               the receive flag at `slot`: .peek() reads
+///                                 it untimed, .cost is one timed probe,
+///                                 .clear() zeroes it
+///   fetch(slot, dst, len)         copy a received message in
+///   control(flag, buf)            consume a channel-internal message (true)
+///   put_result(slot, bytes, len)  write a result message out
+///   raise(slot, raw)              publish a result flag
+template <class Wire>
+class ve_channel final : public target_channel {
 public:
-    veo_ve_channel(aurora::veos::ve_process& proc, const veo_target_cfg& cfg)
-        : proc_(proc),
-          cfg_(cfg),
-          recv_gen_(cfg.layout.recv.slots, 0),
-          send_gen_(cfg.layout.send.slots, 0) {}
+    template <class... Args>
+    explicit ve_channel(const ve_link_cfg& link, Args&&... args)
+        : link_(link),
+          core_(Wire::name, link.node, link.layout.recv.slots, link.epoch),
+          wire_(std::forward<Args>(args)...) {}
 
     protocol::flag_word recv_next(std::vector<std::byte>& buf) override {
-        const auto& cm = proc_.plat().costs();
-        const auto& lay = cfg_.layout;
-        protocol::flag_word flag;
-        // "Every time the runtime on the VE runs idle ... it polls the
-        // notification flag of the next receive buffer" (Sec. III-D). Local
-        // memory probes — the cheap side of this protocol. Each probe waits
-        // in a one-step sim::poll_cycle: the scheduler peeks the flag inline
-        // and wakes this process only for a probe that has work to do.
-        auto& inj = aurora::fault::injector::instance();
-        const sim::time_ns idle_start = sim::now();
-        const std::uint64_t flag_addr =
-            cfg_.comm_addr + lay.recv_base() + lay.recv.flag_offset(next_);
-        const std::uint8_t want = protocol::next_gen(recv_gen_[next_]);
-        const sim::duration_ns step[] = {cm.local_poll_ns};
-        const sim::poll_ready_fn ready = [&](std::size_t, sim::time_ns now) {
-            return flag_poll_fires(int(cfg_.node),
-                                   proc_.mem().load_u64(flag_addr), want,
-                                   cfg_.idle_timeout_ns, idle_start, now);
-        };
         for (;;) {
-            inj.check_target_alive(int(cfg_.node));
-            sim::poll_cycle(step, 0, ready);
-            flag = protocol::decode_flag(proc_.mem().load_u64(flag_addr));
-            if (flag.present() && flag.gen == want) {
-                if (flag.epoch == cfg_.epoch) {
-                    break;
-                }
-                // A message of a previous incarnation (defence in depth —
-                // this incarnation's memory starts zeroed): clear the stale
-                // flag so the slot polls clean, never execute the message.
-                proc_.mem().store_u64(flag_addr, 0);
-                heal::note_epoch_reject("veo", cfg_.node);
+            const std::uint32_t slot = core_.cursor();
+            const protocol::flag_word flag = await(wire_.recv_flag(slot));
+            buf.resize(flag.len);
+            if (flag.len > 0) {
+                wire_.fetch(slot, buf.data(), flag.len);
             }
-            if (idle_expired(cfg_.idle_timeout_ns, idle_start, sim::now())) {
-                // The host went silent for the configured deadline: presume it
-                // is gone and exit the loop instead of polling forever.
-                inj.note_idle_timeout();
-                throw aurora::fault::target_killed{};
+            if (wire_.control(flag, buf)) {
+                // Handled inside the channel and acknowledged through the
+                // regular result path; the message loop never sees it.
+                const protocol::result_header ack{};
+                send_result(slot, &ack, sizeof(ack));
+                continue;
             }
+            return flag;
         }
-        recv_gen_[next_] = flag.gen;
-        buf.resize(flag.len);
-        if (flag.len > 0) {
-            proc_.mem().read(cfg_.comm_addr + lay.recv_base() +
-                                 lay.recv.buffer_offset(next_),
-                             buf.data(), flag.len);
-            sim::advance(sim::transfer_ns(flag.len, cm.ve_memcpy_gib));
-        }
-        next_ = (next_ + 1) % lay.recv.slots;
-        return flag;
     }
 
     void send_result(std::uint32_t result_slot, const void* bytes,
                      std::size_t len) override {
+        AURORA_CHECK(result_slot < link_.layout.send.slots);
+        AURORA_CHECK(len <= link_.layout.send.msg_size);
+        wire_.put_result(result_slot, bytes, len);
+        wire_.raise(result_slot, core_.result(result_slot, len));
+    }
+
+private:
+    /// The VE's idle deadline (0 = none) has passed at `now`.
+    [[nodiscard]] bool idle_expired(sim::time_ns idle_start,
+                                    sim::time_ns now) const {
+        return link_.idle_timeout_ns > 0 &&
+               now - idle_start >= link_.idle_timeout_ns;
+    }
+
+    /// "Every time the runtime on the VE runs idle ... it polls the
+    /// notification flag of the next receive buffer" (Sec. III-D). Each probe
+    /// waits in a one-step sim::poll_cycle: the scheduler peeks the flag
+    /// inline and wakes this process only for a probe the plain poll would
+    /// act on. That is when the liveness check that follows would kill the
+    /// VE (it must throw on the VE's thread), when the expected generation is
+    /// there (a message, or a stale-epoch flag to clear), or when the idle
+    /// deadline has passed.
+    template <class Flag>
+    protocol::flag_word await(const Flag& f) {
+        auto& inj = aurora::fault::injector::instance();
+        const int node = int(link_.node);
+        const sim::time_ns idle_start = sim::now();
+        const sim::duration_ns step[] = {f.cost};
+        const sim::poll_ready_fn ready = [&](std::size_t, sim::time_ns now) {
+            return inj.would_kill(node, now) || core_.due(f.peek()) ||
+                   idle_expired(idle_start, now);
+        };
+        for (;;) {
+            inj.check_target_alive(node);
+            sim::poll_cycle(step, 0, ready);
+            protocol::flag_word flag;
+            const slot_protocol::verdict v = core_.take(f.peek(), flag);
+            if (v == slot_protocol::verdict::ready) {
+                return flag;
+            }
+            if (v == slot_protocol::verdict::stale) {
+                f.clear(); // never execute it; the slot polls clean again
+            }
+            if (idle_expired(idle_start, sim::now())) {
+                // The host went silent for the configured deadline: presume
+                // it is gone and exit the loop instead of polling forever.
+                inj.note_idle_timeout();
+                throw aurora::fault::target_killed{};
+            }
+        }
+    }
+
+    ve_link_cfg link_;
+    slot_protocol::target_half core_;
+    Wire wire_;
+};
+
+// --- VE side of the VEO protocol (Fig. 5) ------------------------------------
+
+/// Both regions live in the VE's own memory: every flag probe and copy is a
+/// local memory access — the cheap side of this protocol. A stale flag there
+/// is defence in depth: each incarnation's memory starts zeroed.
+class veo_wire {
+public:
+    static constexpr const char* name = "veo";
+
+    veo_wire(aurora::veos::ve_process& proc, const veo_target_cfg& cfg)
+        : proc_(proc), cfg_(cfg) {}
+
+    struct flag_ref {
+        aurora::veos::ve_process* proc;
+        std::uint64_t addr;
+        sim::duration_ns cost;
+        [[nodiscard]] std::uint64_t peek() const {
+            return proc->mem().load_u64(addr);
+        }
+        void clear() const { proc->mem().store_u64(addr, 0); }
+    };
+
+    [[nodiscard]] flag_ref recv_flag(std::uint32_t slot) const {
+        const auto& lay = cfg_.layout;
+        return {&proc_,
+                cfg_.comm_addr + lay.recv_base() + lay.recv.flag_offset(slot),
+                proc_.plat().costs().local_poll_ns};
+    }
+
+    void fetch(std::uint32_t slot, void* dst, std::uint32_t len) {
+        const auto& lay = cfg_.layout;
+        proc_.mem().read(cfg_.comm_addr + lay.recv_base() +
+                             lay.recv.buffer_offset(slot),
+                         dst, len);
+        sim::advance(sim::transfer_ns(len, proc_.plat().costs().ve_memcpy_gib));
+    }
+
+    static bool control(const protocol::flag_word&, const std::vector<std::byte>&) {
+        return false;
+    }
+
+    void put_result(std::uint32_t slot, const void* bytes, std::size_t len) {
         const auto& cm = proc_.plat().costs();
         const auto& lay = cfg_.layout;
-        AURORA_CHECK(result_slot < lay.send.slots);
-        AURORA_CHECK(len <= lay.send.msg_size);
         // Result message into the send buffer, then the flag (both local).
         proc_.mem().write(cfg_.comm_addr + lay.send_base() +
-                              lay.send.buffer_offset(result_slot),
+                              lay.send.buffer_offset(slot),
                           bytes, len);
         sim::advance(sim::transfer_ns(len, cm.ve_memcpy_gib) + cm.local_poll_ns);
-        send_gen_[result_slot] = protocol::next_gen(send_gen_[result_slot]);
-        protocol::flag_word flag;
-        flag.kind = protocol::msg_kind::user;
-        flag.gen = send_gen_[result_slot];
-        flag.result_slot_plus1 = static_cast<std::uint16_t>(result_slot + 1);
-        flag.epoch = cfg_.epoch;
-        flag.len = static_cast<std::uint32_t>(len);
-        proc_.mem().store_u64(cfg_.comm_addr + lay.send_base() +
-                                  lay.send.flag_offset(result_slot),
-                              protocol::encode_flag(flag));
+    }
+
+    void raise(std::uint32_t slot, std::uint64_t raw) {
+        const auto& lay = cfg_.layout;
+        proc_.mem().store_u64(
+            cfg_.comm_addr + lay.send_base() + lay.send.flag_offset(slot), raw);
     }
 
 private:
     aurora::veos::ve_process& proc_;
     veo_target_cfg cfg_;
-    std::uint32_t next_ = 0;
-    std::vector<std::uint8_t> recv_gen_;
-    std::vector<std::uint8_t> send_gen_;
 };
 
 // --- VE side of the DMA protocol (Fig. 8) -------------------------------------
@@ -217,18 +263,24 @@ private:
 /// on the same card) always fit.
 constexpr std::size_t ve_reg_cache_capacity = 64;
 
-class vedma_ve_channel final : public target_channel {
+/// The communication area lives in host memory: the VE "now needs to
+/// actively fetch its messages" (Sec. IV-B), polling flags via LHM, moving
+/// messages and results with the user DMA engine (or SHM stores for small
+/// results) and raising result flags with single SHM word stores. A stale
+/// flag there is a real hazard: the shm segment survives respawns, so
+/// leftovers of the dead incarnation sit exactly where this one polls.
+class vedma_wire {
 public:
-    vedma_ve_channel(aurora::veos::ve_process& proc, const vedma_target_cfg& cfg)
+    static constexpr const char* name = "vedma";
+
+    vedma_wire(aurora::veos::ve_process& proc, const vedma_target_cfg& cfg)
         : proc_(proc),
           cfg_(cfg),
           atb_(proc),
           dma_(atb_),
           registrar_(atb_, cfg.vh_socket),
           cache_(registrar_, ve_reg_cache_capacity,
-                 "ve-node" + std::to_string(cfg.node)),
-          recv_gen_(cfg.layout.recv.slots, 0),
-          send_gen_(cfg.layout.send.slots, 0) {
+                 "ve-node" + std::to_string(cfg.node)) {
         // The "rather complex setup process" of Sec. IV-A: attach the host's
         // SysV segment, register it in the DMAATB, and register local staging
         // memory so the user DMA engine can reach both ends.
@@ -252,7 +304,7 @@ public:
         }
     }
 
-    ~vedma_ve_channel() override {
+    ~vedma_wire() {
         // Cached data-path registrations go first; the fixed channel windows
         // below never enter the cache.
         cache_.clear();
@@ -266,77 +318,50 @@ public:
         proc_.ve_free(stage_vaddr_);
     }
 
-    protocol::flag_word recv_next(std::vector<std::byte>& buf) override {
-        const auto& lay = cfg_.layout;
-        for (;;) {
-            protocol::flag_word flag;
-            // "The VE now needs to actively fetch its messages" (Sec. IV-B):
-            // poll the flag in *host* memory via LHM — one PCIe round trip
-            // each, waited in a one-step sim::poll_cycle like the veo poll.
-            auto& inj = aurora::fault::injector::instance();
-            const sim::time_ns idle_start = sim::now();
-            const std::uint64_t flag_vehva =
-                comm_vehva_ + lay.recv_base() + lay.recv.flag_offset(next_);
-            const aurora::vedma::lhm_word word =
-                aurora::vedma::lhm_resolve64(atb_, flag_vehva);
-            const std::uint8_t want = protocol::next_gen(recv_gen_[next_]);
-            const sim::duration_ns step[] = {word.cost};
-            const sim::poll_ready_fn ready = [&](std::size_t, sim::time_ns now) {
-                return flag_poll_fires(int(cfg_.node), word.peek(), want,
-                                       cfg_.idle_timeout_ns, idle_start, now);
-            };
-            for (;;) {
-                inj.check_target_alive(int(cfg_.node));
-                sim::poll_cycle(step, 0, ready);
-                flag = protocol::decode_flag(word.peek());
-                if (flag.present() && flag.gen == want) {
-                    if (flag.epoch == cfg_.epoch) {
-                        break;
-                    }
-                    // A flag of a previous incarnation — a real hazard here:
-                    // the shm segment survives respawns, so leftovers of the
-                    // dead incarnation sit exactly where this one polls. Zero
-                    // the stale flag in host memory and keep polling.
-                    aurora::vedma::shm_store64(atb_, flag_vehva, 0);
-                    heal::note_epoch_reject("vedma", cfg_.node);
-                }
-                if (idle_expired(cfg_.idle_timeout_ns, idle_start, sim::now())) {
-                    inj.note_idle_timeout();
-                    throw aurora::fault::target_killed{};
-                }
-            }
-            recv_gen_[next_] = flag.gen;
-            buf.resize(flag.len);
-            if (flag.len > 0) {
-                // The flag carried the length: fetch the exact message via DMA.
-                dma_.dma_sync(stage_vehva_,
-                              comm_vehva_ + lay.recv_base() +
-                                  lay.recv.buffer_offset(next_),
-                              round_up8(flag.len));
-                proc_.mem().read(stage_vaddr_, buf.data(), flag.len);
-            }
-            const std::uint32_t slot = next_;
-            next_ = (next_ + 1) % lay.recv.slots;
+    vedma_wire(const vedma_wire&) = delete;
+    vedma_wire& operator=(const vedma_wire&) = delete;
 
-            // Bulk-data control messages are handled inside the channel; the
-            // message loop only ever sees user/terminate messages.
-            if (flag.kind == protocol::msg_kind::data_put ||
-                flag.kind == protocol::msg_kind::data_get) {
-                handle_data(flag, buf, slot);
-                continue;
-            }
-            return flag;
-        }
+    struct flag_ref {
+        aurora::vedma::lhm_word word; ///< resolved once per receive
+        aurora::vedma::dmaatb* atb;
+        std::uint64_t vehva;
+        sim::duration_ns cost; ///< one LHM: a PCIe round trip
+        [[nodiscard]] std::uint64_t peek() const { return word.peek(); }
+        void clear() const { aurora::vedma::shm_store64(*atb, vehva, 0); }
+    };
+
+    [[nodiscard]] flag_ref recv_flag(std::uint32_t slot) {
+        const auto& lay = cfg_.layout;
+        const std::uint64_t vehva =
+            comm_vehva_ + lay.recv_base() + lay.recv.flag_offset(slot);
+        const aurora::vedma::lhm_word word =
+            aurora::vedma::lhm_resolve64(atb_, vehva);
+        return {word, &atb_, vehva, word.cost};
     }
 
-    void send_result(std::uint32_t result_slot, const void* bytes,
-                     std::size_t len) override {
+    void fetch(std::uint32_t slot, void* dst, std::uint32_t len) {
+        // The flag carried the length: fetch the exact message via DMA.
         const auto& lay = cfg_.layout;
-        AURORA_CHECK(result_slot < lay.send.slots);
-        AURORA_CHECK(len <= lay.send.msg_size + sizeof(protocol::result_header));
-        const std::uint64_t dst =
-            comm_vehva_ + lay.send_base() + lay.send.buffer_offset(result_slot);
+        dma_.dma_sync(stage_vehva_,
+                      comm_vehva_ + lay.recv_base() + lay.recv.buffer_offset(slot),
+                      round_up8(len));
+        proc_.mem().read(stage_vaddr_, dst, len);
+    }
 
+    /// Bulk-data control messages (data_put/data_get) are executed here.
+    bool control(const protocol::flag_word& flag,
+                 const std::vector<std::byte>& buf) {
+        if (flag.kind != protocol::msg_kind::data_put &&
+            flag.kind != protocol::msg_kind::data_get) {
+            return false;
+        }
+        handle_data(flag, buf);
+        return true;
+    }
+
+    void put_result(std::uint32_t slot, const void* bytes, std::size_t len) {
+        const std::uint64_t dst = comm_vehva_ + cfg_.layout.send_base() +
+                                  cfg_.layout.send.buffer_offset(slot);
         if (cfg_.shm_small_results && len <= cfg_.shm_result_threshold) {
             // Extension (Sec. V-B): small VE->VH payloads are faster through
             // SHM posted stores than through a DMA transfer.
@@ -355,33 +380,28 @@ public:
             proc_.mem().write(stage_vaddr_ + stage_result_off_, bytes, len);
             dma_.dma_sync(dst, stage_vehva_ + stage_result_off_, round_up8(len));
         }
+    }
 
-        send_gen_[result_slot] = protocol::next_gen(send_gen_[result_slot]);
-        protocol::flag_word flag;
-        flag.kind = protocol::msg_kind::user;
-        flag.gen = send_gen_[result_slot];
-        flag.result_slot_plus1 = static_cast<std::uint16_t>(result_slot + 1);
-        flag.epoch = cfg_.epoch;
-        flag.len = static_cast<std::uint32_t>(len);
+    void raise(std::uint32_t slot, std::uint64_t raw) {
         // Notify through a single SHM word store.
-        aurora::vedma::shm_store64(
-            atb_, comm_vehva_ + lay.send_base() + lay.send.flag_offset(result_slot),
-            protocol::encode_flag(flag));
+        aurora::vedma::shm_store64(atb_,
+                                   comm_vehva_ + cfg_.layout.send_base() +
+                                       cfg_.layout.send.flag_offset(slot),
+                                   raw);
     }
 
 private:
     /// Execute one data_put/data_get control message (extension): move a
-    /// staged chunk with the user DMA engine and acknowledge through the
-    /// regular result path.
+    /// staged chunk with the user DMA engine.
     void handle_data(const protocol::flag_word& flag,
-                     const std::vector<std::byte>& buf, std::uint32_t slot) {
+                     const std::vector<std::byte>& buf) {
         AURORA_CHECK_MSG(cfg_.staging_shm_key != 0,
                          "data message without a configured staging path");
         AURORA_CHECK(buf.size() >= sizeof(protocol::data_msg));
         protocol::data_msg m;
         std::memcpy(&m, buf.data(), sizeof(m));
         if (m.host_base != 0) {
-            handle_data_zero_copy(flag, m, slot);
+            handle_data_zero_copy(flag, m);
             return;
         }
         AURORA_CHECK(m.len <= cfg_.staging_chunk_bytes);
@@ -404,8 +424,6 @@ private:
             dma_.dma_sync(data_host_vehva_ + m.staging_off, data_stage_vehva_,
                           round_up8(m.len));
         }
-        const protocol::result_header ack{};
-        send_result(slot, &ack, sizeof(ack));
     }
 
     /// Zero-copy shape (aurora::mem): translate the host user buffer and the
@@ -415,7 +433,7 @@ private:
     /// most staging_chunk_bytes each; the uniform run goes out as a single
     /// chained post, a short final descriptor rides alongside it.
     void handle_data_zero_copy(const protocol::flag_word& flag,
-                               const protocol::data_msg& m, std::uint32_t slot) {
+                               const protocol::data_msg& m) {
         AURORA_CHECK_MSG(cfg_.zero_copy,
                          "zero-copy data message but the channel was set up "
                          "without it");
@@ -463,9 +481,6 @@ private:
         if (tail.in_flight) {
             dma_.dma_wait(tail);
         }
-
-        const protocol::result_header ack{};
-        send_result(slot, &ack, sizeof(ack));
     }
 
     aurora::veos::ve_process& proc_;
@@ -483,23 +498,9 @@ private:
     std::uint64_t data_host_vehva_ = 0;
     std::uint64_t data_stage_vaddr_ = 0;
     std::uint64_t data_stage_vehva_ = 0;
-    std::uint32_t next_ = 0;
-    std::vector<std::uint8_t> recv_gen_;
-    std::vector<std::uint8_t> send_gen_;
 };
 
 // --- the C-API and ham_main ----------------------------------------------------
-
-protocol::comm_layout layout_from(std::uint64_t slots, std::uint64_t msg_size) {
-    protocol::comm_layout lay;
-    lay.recv.slots = static_cast<std::uint32_t>(slots);
-    lay.recv.msg_size = static_cast<std::uint32_t>(msg_size);
-    lay.send.slots = static_cast<std::uint32_t>(slots);
-    // Result slots carry [result_header][payload].
-    lay.send.msg_size =
-        static_cast<std::uint32_t>(msg_size + sizeof(protocol::result_header));
-    return lay;
-}
 
 /// ABI guard (Sec. III-E): compare the host binary's type-table fingerprint
 /// against this image's. 0 = compatible, 1 = mismatch.
@@ -512,7 +513,9 @@ std::uint64_t check_abi(std::uint64_t host_fingerprint) {
 std::uint64_t c_api_setup_veo(aurora::veos::ve_call_context& ctx) {
     veo_target_cfg cfg;
     cfg.comm_addr = ctx.arg_u64(0);
-    cfg.layout = layout_from(ctx.arg_u64(1), ctx.arg_u64(2));
+    cfg.layout = protocol::make_comm_layout(
+        static_cast<std::uint32_t>(ctx.arg_u64(1)),
+        static_cast<std::uint32_t>(ctx.arg_u64(2)));
     cfg.node = static_cast<node_t>(ctx.arg_i64(3));
     if (ctx.arg_count() > 4 && check_abi(ctx.arg_u64(4)) != 0) {
         return 1;
@@ -534,7 +537,9 @@ std::uint64_t c_api_setup_vedma(aurora::veos::ve_call_context& ctx) {
     cfg.shms =
         reinterpret_cast<const aurora::vedma::shm_registry*>(ctx.arg_u64(0));
     cfg.shm_key = static_cast<int>(ctx.arg_i64(1));
-    cfg.layout = layout_from(ctx.arg_u64(2), ctx.arg_u64(3));
+    cfg.layout = protocol::make_comm_layout(
+        static_cast<std::uint32_t>(ctx.arg_u64(2)),
+        static_cast<std::uint32_t>(ctx.arg_u64(3)));
     cfg.node = static_cast<node_t>(ctx.arg_i64(4));
     cfg.shm_small_results = ctx.arg_u64(5) != 0;
     cfg.shm_result_threshold = static_cast<std::uint32_t>(ctx.arg_u64(6));
@@ -572,16 +577,17 @@ std::uint64_t c_api_ham_main(aurora::veos::ve_call_context& ctx) {
         ham::handler_registry::build(ve_image_options());
 
     ve_target_memory memory(proc);
-    const node_t node = std::holds_alternative<veo_target_cfg>(*cfg)
-                            ? std::get<veo_target_cfg>(*cfg).node
-                            : std::get<vedma_target_cfg>(*cfg).node;
-    target_context tctx(node, target_context::device::ve, &memory,
+    const ve_link_cfg& link =
+        std::visit([](const ve_link_cfg& c) -> const ve_link_cfg& { return c; },
+                   *cfg);
+    target_context tctx(link.node, target_context::device::ve, &memory,
                         &proc.plat().costs());
 
     target_loop_config loop_cfg;
     loop_cfg.registry = &registry;
     loop_cfg.context = &tctx;
     loop_cfg.costs = &proc.plat().costs();
+    loop_cfg.msg_size = link.layout.recv.msg_size;
 
     // A simulated VE death (aurora::fault) unwinds the loop here; the channel
     // destructors still run, so DMAATB registrations are released before the
@@ -589,13 +595,11 @@ std::uint64_t c_api_ham_main(aurora::veos::ve_call_context& ctx) {
     // host-side reaper the process died rather than terminated cleanly.
     try {
         if (const auto* veo_cfg = std::get_if<veo_target_cfg>(cfg)) {
-            loop_cfg.msg_size = veo_cfg->layout.recv.msg_size;
-            veo_ve_channel channel(proc, *veo_cfg);
+            ve_channel<veo_wire> channel(*veo_cfg, proc, *veo_cfg);
             run_target_loop(loop_cfg, channel);
         } else {
             const auto& dma_cfg = std::get<vedma_target_cfg>(*cfg);
-            loop_cfg.msg_size = dma_cfg.layout.recv.msg_size;
-            vedma_ve_channel channel(proc, dma_cfg);
+            ve_channel<vedma_wire> channel(dma_cfg, proc, dma_cfg);
             run_target_loop(loop_cfg, channel);
         }
     } catch (const aurora::fault::target_killed&) {

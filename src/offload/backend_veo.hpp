@@ -7,43 +7,27 @@
 // veo_read_mem — every step paying the privileged-DMA cost that motivates
 // Sec. IV. The VE side polls its local flags between message executions.
 //
-// Deployment follows Fig. 4: the host creates the VE process via VEO, loads
-// the application library, pushes the communication parameters through a
-// C-API call (ham_comm_setup_veo) and starts ham_main asynchronously.
+// Deployment follows Fig. 4 (ve_backend); the setup C-API call
+// ham_comm_setup_veo carries the address of the communication area.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "offload/backend.hpp"
-#include "offload/options.hpp"
-#include "offload/protocol.hpp"
-#include "veo/veo_api.hpp"
+#include "offload/backend_ve.hpp"
 
 namespace ham::offload {
 
-class backend_veo final : public backend {
+class backend_veo final : public ve_backend {
 public:
     backend_veo(aurora::veos::veos_system& sys, int ve_id, node_t node,
                 const runtime_options& opt);
-    ~backend_veo() override;
 
-    [[nodiscard]] std::uint32_t slot_count() const override {
-        return layout_.recv.slots;
-    }
     [[nodiscard]] io_status send_message(std::uint32_t slot, const void* msg,
                                          std::size_t len, protocol::msg_kind kind,
                                          bool retransmit) override;
     bool test_result(std::uint32_t slot, std::vector<std::byte>& out) override;
-    void poll_pause() override;
 
-    [[nodiscard]] std::uint64_t allocate_bytes(std::uint64_t len) override;
-    void free_bytes(std::uint64_t addr) override;
-    void put_bytes(const void* src, std::uint64_t dst_addr,
-                   std::uint64_t len) override;
-    void get_bytes(std::uint64_t src_addr, void* dst, std::uint64_t len) override;
-
-    [[nodiscard]] node_descriptor descriptor() const override;
     void shutdown() override;
     void abandon() override;
     void quiesce() override;
@@ -52,30 +36,13 @@ public:
                                          std::uint8_t epoch) override;
 
 private:
-    /// Fig. 4 deployment for the current epoch_ incarnation: VE process,
-    /// library, communication area, setup C-API call, async ham_main.
-    void attach();
+    /// All communication buffers live in VE memory and are set up and
+    /// managed by the host (Sec. III-D); flags start out zeroed.
+    void place_comm_area() override;
+    void setup_args(aurora::veo::veo_args& args) const override;
+    void release_process();
 
-    aurora::veos::veos_system& sys_;
-    int ve_id_;
-    node_t node_;
-    protocol::comm_layout layout_;
-    int vh_socket_;
-    std::int64_t idle_timeout_ns_;
-    aurora::veo::veo_proc_handle* proc_ = nullptr;
-    aurora::veo::veo_thr_ctxt* ctx_ = nullptr;
     std::uint64_t comm_addr_ = 0; ///< base of the communication area (VE memory)
-    std::uint64_t main_req_ = 0;  ///< outstanding ham_main request
-    bool quiesced_ = false; ///< ham_main reaped, memory kept for the drain
-    std::vector<std::uint8_t> send_gen_;   ///< per recv-slot message generation
-    std::vector<std::uint8_t> result_gen_; ///< per send-slot expected result gen
-    /// Current incarnation (aurora::heal), stamped into every flag.
-    std::uint8_t epoch_ = 0;
-    /// First-transmission messages since the last attach. Tracks the VE
-    /// channel's round-robin poll cursor (they advance in lockstep once all
-    /// results are harvested) for the inject_stale_flag test seam.
-    std::uint64_t sends_since_attach_ = 0;
-    backend_metrics met_;
 };
 
 } // namespace ham::offload

@@ -2,10 +2,10 @@
 //
 // The recovery machinery itself lives in the runtime (state machine, replay)
 // and the backends (quiesce/respawn); this header holds the pieces both sides
-// of the wire share: epoch-reject accounting. Whenever a channel or a host
-// backend consumes a flag/packet stamped with a previous incarnation's epoch,
-// it drops the message and counts it here — the observable proof that stale
-// retransmits and replies cannot cross an incarnation boundary.
+// of the wire share: epoch-reject accounting. Whenever slot_protocol, on the
+// host or the target side, meets a flag stamped with another incarnation's
+// epoch, the message is dropped and counted here — the observable proof that
+// stale retransmits and replies cannot cross an incarnation boundary.
 #pragma once
 
 #include "offload/types.hpp"

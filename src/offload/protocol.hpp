@@ -427,4 +427,15 @@ struct comm_layout {
     }
 };
 
+/// The communication area for `slots` slots of `msg_size` bytes per
+/// direction; a result slot carries [result_header][payload].
+[[nodiscard]] constexpr comm_layout make_comm_layout(std::uint32_t slots,
+                                                     std::uint32_t msg_size) {
+    comm_layout lay;
+    lay.recv = {slots, msg_size};
+    lay.send = {slots,
+                msg_size + static_cast<std::uint32_t>(sizeof(result_header))};
+    return lay;
+}
+
 } // namespace ham::offload::protocol

@@ -8,8 +8,7 @@
 #include "obs/flight.hpp"
 #include "obs/obs.hpp"
 #include "offload/app_image.hpp"
-#include "offload/backend_loopback.hpp"
-#include "offload/backend_tcp.hpp"
+#include "offload/backend_queue.hpp"
 #include "offload/backend_vedma.hpp"
 #include "offload/backend_veo.hpp"
 #include "sim/engine.hpp"
@@ -227,12 +226,14 @@ runtime::runtime(sim::simulation& sim, aurora::veos::veos_system* sys,
             }
             switch (opt_.backend) {
                 case backend_kind::loopback:
-                    state->be = std::make_unique<backend_loopback>(
-                        sim_, loopback_target_registry(), costs_, opt_, gid);
+                    state->be = std::make_unique<queue_backend>(
+                        sim_, loopback_target_registry(), costs_, opt_, gid,
+                        queue_wire::loopback(costs_));
                     break;
                 case backend_kind::tcp:
-                    state->be = std::make_unique<backend_tcp>(
-                        sim_, loopback_target_registry(), costs_, opt_, gid);
+                    state->be = std::make_unique<queue_backend>(
+                        sim_, loopback_target_registry(), costs_, opt_, gid,
+                        queue_wire::tcp(costs_));
                     break;
                 case backend_kind::veo:
                     state->be =

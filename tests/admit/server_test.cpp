@@ -413,6 +413,41 @@ TEST(AdmitServer, BreakerTripsShedsProbesAndRecloses) {
     });
 }
 
+TEST(AdmitServer, UnpinnedSuccessesLeaveAHalfOpenBreakerToItsProbe) {
+    run_sched(1, [] {
+        server::config cfg = small_cfg(16, 8);
+        cfg.breaker.failure_threshold = 3;
+        cfg.breaker.probe_successes = 1;
+        cfg.breaker.cooldown_ns = 10'000;
+        server srv(cfg);
+        session_options o;
+        o.cls = qos_class::latency;
+        const session_id sid = srv.open(o);
+        request_options pin1;
+        pin1.affinity = 1;
+        pin1.pinned = true;
+        for (int i = 0; i < 3; ++i) {
+            srv.submit(sid, ham::f2f<&tk::boom>(), pin1).wait();
+        }
+        sim::advance(10'000);
+        ASSERT_EQ(srv.breaker_of(1), breaker_state::half_open);
+
+        // Requests without an affinity are not gated and, with one target,
+        // run on node 1. Their successes say nothing about the probe.
+        std::uint64_t counter = 0;
+        for (int i = 0; i < 3; ++i) {
+            srv.submit(sid, ham::f2f<&tk::bump>(&counter)).get();
+            EXPECT_EQ(srv.breaker_of(1), breaker_state::half_open)
+                << "unpinned success " << i;
+        }
+        request probe = srv.submit(sid, ham::f2f<&tk::bump>(&counter), pin1);
+        EXPECT_EQ(srv.breaker_of(1), breaker_state::half_open);
+        probe.get();
+        EXPECT_EQ(srv.breaker_of(1), breaker_state::closed);
+        EXPECT_EQ(counter, 4u);
+    });
+}
+
 TEST(AdmitServer, ClosingSessionWithQueuedProbeUnwedgesBreaker) {
     run_sched(2, [] {
         server::config cfg = small_cfg(64, 1);
