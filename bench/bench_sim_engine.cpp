@@ -36,7 +36,7 @@ void BM_PingPongContextSwitch(benchmark::State& state) {
     for (auto _ : state) {
         simulation s;
         for (int p = 0; p < 2; ++p) {
-            s.spawn("p" + std::to_string(p), [steps, p] {
+            s.spawn(std::string("p").append(std::to_string(p)), [steps, p] {
                 for (std::int64_t i = 0; i < steps; ++i) {
                     advance(2 + p); // interleave deterministically
                 }

@@ -679,6 +679,10 @@ std::size_t cluster::outstanding(int vh) const {
     return g.inflight - g.arrived.size();
 }
 
+bool cluster::result_deliverable(int vh, sim::time_ns now) const {
+    return gw(vh).link.deliverable(1, now);
+}
+
 void cluster::publish_node_health(int vh) {
     if (vh == 0) {
         // Registered lazily; node 0 health mirrors the origin runtime.

@@ -180,6 +180,10 @@ public:
 
     /// Origin-side tickets still waiting for a routed result from `vh`.
     [[nodiscard]] std::size_t outstanding(int vh) const;
+    /// Whether a result frame from `vh` is deliverable at virtual time
+    /// `now`, i.e. whether try_collect() would drain one (pure: usable from
+    /// a sim::poll_cycle predicate).
+    [[nodiscard]] bool result_deliverable(int vh, sim::time_ns now) const;
 
     // --- detail::result_source (routed completions) ---------------------------
     bool try_collect(ham::offload::node_t node, std::uint64_t ticket,

@@ -181,14 +181,15 @@ bool cluster_executor::dispatch_one(engine& e) {
         }
         auto fut = ham::offload::future<void>::remote(rt, e.ve, sent.ticket,
                                                       sent.slot);
-        e.inflight.push_back({std::move(task), std::move(fut)});
+        e.inflight.push_back(
+            {std::move(task), std::move(fut), sent.ticket, sent.slot});
         return true;
     }
     const cluster::routed_send s =
         c_.submit_raw(e.vh, e.ve, task.msg.data(), task.msg.size());
     auto fut = ham::offload::future<void>::remote(c_, s.source_node, s.ticket,
                                                   s.slot);
-    e.inflight.push_back({std::move(task), std::move(fut)});
+    e.inflight.push_back({std::move(task), std::move(fut), s.ticket, s.slot});
     return true;
 }
 
@@ -239,11 +240,13 @@ void cluster_executor::settle(engine& e, std::size_t idx, flight& f) {
     // same contract as the local executor.
 }
 
-bool cluster_executor::harvest(engine& e, std::size_t idx) {
+bool cluster_executor::harvest(engine& e, std::size_t idx, bool paid) {
     bool any = false;
     while (!e.inflight.empty()) {
         flight& f = e.inflight.front();
-        if (!f.fut.test()) {
+        const bool landed = paid ? f.fut.test_paid() : f.fut.test();
+        paid = false;
+        if (!landed) {
             break;
         }
         flight done = std::move(e.inflight.front());
@@ -374,11 +377,14 @@ bool cluster_executor::steal_for(std::size_t thief) {
 }
 
 void cluster_executor::wait_all() {
+    ham::offload::runtime& rt = origin_registry_runtime();
+    std::size_t first = 0; ///< engine the round starts at
+    bool paid = false;     ///< its front check already charged
     while (pending_ > 0) {
         bool progress = false;
-        for (std::size_t i = 0; i < engines_.size(); ++i) {
+        for (std::size_t i = first; i < engines_.size(); ++i) {
             engine& e = engines_[i];
-            progress = harvest(e, i) || progress;
+            progress = harvest(e, i, paid && i == first) || progress;
             if (c_.engine_health(e.vh, e.ve) == target_health::failed) {
                 evacuate(e);
                 continue;
@@ -395,10 +401,72 @@ void cluster_executor::wait_all() {
                 progress = steal_for(i) || progress;
             }
         }
-        if (!progress) {
-            sim::advance(origin_registry_runtime().costs().local_poll_ns);
+        first = 0;
+        paid = false;
+        if (!progress && !park(rt, first, paid)) {
+            sim::advance(rt.costs().local_poll_ns);
         }
     }
+}
+
+bool cluster_executor::park(ham::offload::runtime& rt, std::size_t& first,
+                            bool& paid) {
+    // A round after a fruitless one repeats it, probes aside, as long as
+    // every engine stays healthy (no evacuation, no window ramp) and no
+    // engine holds ready work with window space (an origin send the runtime
+    // refused, whose retry may succeed or expire). Then the round is the
+    // poll pause, one ham_future_check_ns front check per origin engine with
+    // a flight out (engine order), and the remote harvests, which charge
+    // nothing and run at the instant of the last origin check.
+    park_.clear();
+    park_nodes_.clear();
+    for (std::size_t i = 0; i < engines_.size(); ++i) {
+        const engine& e = engines_[i];
+        if (c_.engine_health(e.vh, e.ve) != target_health::healthy ||
+            (!e.ready.empty() && e.inflight.size() < cfg_.window)) {
+            return false;
+        }
+        if (e.inflight.empty()) {
+            continue;
+        }
+        if (e.vh == 0) {
+            park_.push_back(i);
+        } else if (park_nodes_.empty() || park_nodes_.back() != e.vh) {
+            park_nodes_.push_back(e.vh);
+        }
+    }
+    park_costs_.assign(park_.size() + 1, rt.costs().ham_future_check_ns);
+    park_costs_[0] = rt.costs().local_poll_ns;
+    // The scheduler evaluates this inline, on another OS thread: it uses the
+    // runtime captured above, never runtime::current() (thread_local). A
+    // step fires on any health change (early is exact: the round then runs
+    // for real), the last one also on a result frame a remote harvest would
+    // drain, and an origin check when idle_probe cannot prove it fruitless.
+    // idle_probe comes last: it counts the poll it stands in for, which the
+    // resumed round would count again.
+    const sim::poll_ready_fn fires = [this, &rt](std::size_t step,
+                                                 sim::time_ns now) {
+        for (const engine& e : engines_) {
+            if (c_.engine_health(e.vh, e.ve) != target_health::healthy) {
+                return true;
+            }
+        }
+        if (step + 1 == park_costs_.size() &&
+            std::any_of(park_nodes_.begin(), park_nodes_.end(),
+                        [&](int vh) { return c_.result_deliverable(vh, now); })) {
+            return true;
+        }
+        if (step == 0) {
+            return false;
+        }
+        const engine& e = engines_[park_[step - 1]];
+        const flight& f = e.inflight.front();
+        return !rt.idle_probe(e.ve, f.ticket, f.slot);
+    };
+    const std::size_t step = sim::poll_cycle(park_costs_, 0, fires);
+    first = step == 0 ? 0 : park_[step - 1];
+    paid = step > 0;
+    return true;
 }
 
 } // namespace aurora::net

@@ -32,7 +32,9 @@ namespace aurora::net {
 struct cluster_executor_config {
     sched::placement_policy policy = sched::placement_policy::work_stealing;
     sched::steal_scope scope = sched::steal_scope::local_then_remote;
-    /// Per-engine bound on in-flight offloads (clamped to msg slots).
+    /// Per-engine bound on in-flight offloads. Not clamped: an origin send
+    /// the runtime refuses (no free msg slot) is retried the next round, and
+    /// frames beyond a remote VE's slots park at its gateway.
     std::uint32_t window = 4;
     /// Minimum victim backlog before a steal crosses an inter-node link.
     std::uint32_t remote_steal_threshold = 4;
@@ -112,6 +114,8 @@ private:
     struct flight {
         queued_task task;
         ham::offload::future<void> fut;
+        std::uint64_t ticket = 0; ///< the future's, for runtime::idle_probe
+        std::uint32_t slot = 0;
     };
     struct engine {
         int vh = 0;
@@ -132,11 +136,17 @@ private:
     [[nodiscard]] std::uint32_t effective_window(engine& e);
     bool dispatch_one(engine& e);
     /// Probe the oldest in-flight entries of `e`; true on any settlement.
-    bool harvest(engine& e, std::size_t idx);
+    /// `paid`: the caller already charged the front flight's check.
+    bool harvest(engine& e, std::size_t idx, bool paid);
     /// Move a failed engine's queue to healthy engines (same node first).
     void evacuate(engine& e);
     bool steal_for(std::size_t thief);
     void settle(engine& e, std::size_t idx, flight& f);
+    /// Wait out fruitless rounds in one sim::poll_cycle. False when the
+    /// next round cannot be proven fruitless but by running it; otherwise
+    /// sets the engine the next round starts at and whether its front
+    /// check is already paid.
+    bool park(ham::offload::runtime& rt, std::size_t& first, bool& paid);
 
     cluster& c_;
     cluster_executor_config cfg_;
@@ -151,6 +161,12 @@ private:
     metrics::counter* steals_remote_ = nullptr;
     metrics::counter* reroutes_ = nullptr;
     metrics::counter* expired_ = nullptr;
+    /// park() scratch, kept so a wait allocates nothing: the origin engines
+    /// whose front checks are the cycle's steps after the poll pause, the
+    /// step costs, and the remote nodes a round would drain results from.
+    std::vector<std::size_t> park_;
+    std::vector<sim::duration_ns> park_costs_;
+    std::vector<int> park_nodes_;
 };
 
 } // namespace aurora::net

@@ -68,6 +68,8 @@
 //     the whole cycle of an iteration that made no progress;
 //   * sched::executor's harvest sweep — the front-flight checks of
 //     consecutive targets in every drain (so every admit::server poll);
+//   * net::cluster_executor::wait_all — every round after one that made no
+//     progress: the poll pause, then each origin engine's front check;
 //   * the VE side of the veo and vedma protocols (offload/app_image.cpp) —
 //     each receive flag probe, a one-step cycle; it fires only when the
 //     probe has work or a kill comes due (fault::injector::would_kill).

@@ -8,7 +8,9 @@
 //   * terminal remote failure settles futures with target_failed_error,
 //   * gateway probes evaluated inline by the scheduler (idle iterations and
 //     the flight checks of busy ones) change nothing observable but the
-//     handoff count, with or without tracing.
+//     handoff count, with or without tracing,
+//   * so do cluster_executor::wait_all's fruitless rounds, parked the same
+//     way, with or without tracing and with a remote VE dying mid-batch.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -380,11 +382,15 @@ std::uint64_t counter_family_total(std::string_view family) {
 }
 
 /// Shape of one skewed 4x4 batch: the executor's per-engine window and
-/// remote steal threshold, and the number of tasks.
+/// remote steal threshold, the number of tasks, the inter-node link window,
+/// and an optional remote VE death.
 struct skew_batch_shape {
     std::uint32_t window = 2;
     std::uint32_t remote_steal_threshold = 2;
     std::int64_t tasks = 128;
+    std::uint32_t link_window = 3; ///< small: result frames back up
+    int kill_gid = 0;              ///< VE killed for good (0 = none)
+    sim::time_ns kill_at_ns = 0;
 };
 
 /// Everything the gateway goldens pin about one skewed 4x4 batch.
@@ -396,6 +402,8 @@ struct skew_batch_result {
     std::uint64_t polls = 0;        ///< aurora_backend_polls_total delta
     std::uint64_t frames = 0;       ///< aurora_net_link_frames_total delta
     std::uint64_t backpressure = 0; ///< aurora_net_link_backpressure_total delta
+    std::uint64_t reroutes = 0;
+    std::uint64_t failed = 0;
     sim::simulation::statistics sim;
 };
 
@@ -410,7 +418,14 @@ skew_batch_result run_skew_batch(const skew_batch_shape& shape = {}) {
     cluster_options copt;
     copt.nodes = 4;
     copt.ves_per_node = 4;
-    copt.link.window = 3; // small window: result frames back up in the outbox
+    copt.link.window = shape.link_window;
+    if (shape.kill_gid != 0) {
+        // Recovery disabled: the death is terminal and its work reroutes.
+        copt.remote.reply_timeout_ns = 100'000;
+        copt.remote.max_retries = 1;
+        fault::injector::instance().kill_at_time(shape.kill_gid,
+                                                 shape.kill_at_ns);
+    }
     sim::platform plat(sim::platform_config::test_machine());
     plat.sim().set_virtual_deadline(600'000'000'000);
     EXPECT_EQ(run(plat, origin_options(4), [&] {
@@ -436,6 +451,8 @@ skew_batch_result run_skew_batch(const skew_batch_shape& shape = {}) {
         }
         r.steals_local = ex.stats().steals_local;
         r.steals_remote = ex.stats().steals_remote;
+        r.reroutes = ex.stats().reroutes;
+        r.failed = ex.stats().failed;
     }), 0);
     r.final_ns = plat.sim().now();
     r.sim = plat.sim().stats();
@@ -500,6 +517,70 @@ TEST_F(Cluster, GatewayFlightChecksUnderTracingAreExact) {
     trace::set_enabled(false);
     trace::collector::instance().reset();
     expect_busy_gateway_goldens(r);
+}
+
+/// The default link window: result frames come straight back, so the origin
+/// client's wait_all rounds, not the gateways, make most handoffs, and the
+/// origin engines keep flights out through them.
+constexpr skew_batch_shape kOpenLinks{2, 2, 128, 32};
+
+void expect_open_link_goldens(const skew_batch_result& r) {
+    // Recorded with a wait_all that ran every fruitless round on its own
+    // thread (a local_poll_ns advance, then a handoff per origin check).
+    EXPECT_EQ(r.order_hash, 15329833008014828307ull);
+    EXPECT_EQ(r.final_ns, 271'300);
+    EXPECT_EQ(r.steals_local, 18u);
+    EXPECT_EQ(r.steals_remote, 35u);
+    EXPECT_EQ(r.polls, 2'741u);
+    EXPECT_EQ(r.frames, 209u);
+    EXPECT_EQ(r.backpressure, 0u);
+}
+
+TEST_F(Cluster, WaitAllParkedRoundsAreExact) {
+    // A round of wait_all that makes no progress parks in one
+    // sim::poll_cycle: the poll pause, then one future check per origin
+    // engine with a flight out, each proven fruitless inline.
+    const skew_batch_result r = run_skew_batch(kOpenLinks);
+    expect_open_link_goldens(r);
+    // The mechanism: the plain rounds took 1599 handoffs, 1507 now.
+    EXPECT_LE(r.sim.context_switches, 1'599u * 19 / 20);
+    EXPECT_GT(r.sim.inline_probes, 0u);
+}
+
+TEST_F(Cluster, WaitAllParkedRoundsUnderTracingAreExact) {
+    // Tracing makes runtime::idle_probe refuse, so every origin check step
+    // fires and runs on the client's own thread; the rounds with no origin
+    // flight out still park.
+    trace::set_enabled(true);
+    trace::collector::instance().reset();
+    const skew_batch_result r = run_skew_batch(kOpenLinks);
+    trace::set_enabled(false);
+    trace::collector::instance().reset();
+    expect_open_link_goldens(r);
+    // The plain rounds took 4053 handoffs, 3643 now.
+    EXPECT_LE(r.sim.context_switches, 4'053u * 19 / 20);
+}
+
+TEST_F(Cluster, WaitAllParkedRoundsSeeARemoteDeath) {
+    // VH1's VE2 (global id 6) dies mid-batch while the client is parked: the
+    // health change fires the cycle, the dead engine's queue is evacuated
+    // and its in-flight work rerouted at the same instants as the plain loop.
+    skew_batch_shape shape = kOpenLinks;
+    shape.kill_gid = 6;
+    shape.kill_at_ns = 40'000;
+    const skew_batch_result r = run_skew_batch(shape);
+    EXPECT_EQ(r.order_hash, 3927560422135684989ull);
+    EXPECT_EQ(r.final_ns, 378'600);
+    EXPECT_EQ(r.steals_local, 19u);
+    EXPECT_EQ(r.steals_remote, 37u);
+    EXPECT_EQ(r.polls, 3'169u);
+    EXPECT_EQ(r.frames, 213u);
+    EXPECT_EQ(r.backpressure, 0u);
+    EXPECT_EQ(r.reroutes, 3u);
+    EXPECT_EQ(r.failed, 0u);
+    EXPECT_EQ(fault::injector::instance().stats().kills, 1u);
+    // The plain rounds took 4853 handoffs, 4784 now.
+    EXPECT_LT(r.sim.context_switches, 4'853u);
 }
 
 } // namespace

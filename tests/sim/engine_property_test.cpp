@@ -28,7 +28,7 @@ run_log random_mesh_run(unsigned seed, int nprocs, int steps) {
         ring.push_back(std::make_unique<event>(s));
     }
     for (int p = 0; p < nprocs; ++p) {
-        s.spawn("p" + std::to_string(p), [&, p, seed] {
+        s.spawn(std::string("p").append(std::to_string(p)), [&, p, seed] {
             std::mt19937 rng(seed + unsigned(p) * 977u);
             for (int step = 0; step < steps; ++step) {
                 advance(duration_ns(rng() % 1000));
@@ -84,7 +84,7 @@ TEST(EngineProperty, ManyProcessesComplete) {
     simulation s;
     int done = 0;
     for (int i = 0; i < 50; ++i) {
-        s.spawn("w" + std::to_string(i), [&, i] {
+        s.spawn(std::string("w").append(std::to_string(i)), [&, i] {
             for (int k = 0; k < 20; ++k) {
                 advance(duration_ns((i * 13 + k * 7) % 97 + 1));
             }
@@ -104,7 +104,8 @@ TEST(EngineProperty, SpawnCascade) {
         ++reached;
         advance(10_ns);
         if (depth < 30) {
-            s.spawn("c" + std::to_string(depth), [&, depth] { chain(depth + 1); });
+            s.spawn(std::string("c").append(std::to_string(depth)),
+                    [&, depth] { chain(depth + 1); });
             yield();
         }
     };

@@ -83,7 +83,7 @@ TEST(Event, MultipleWaitersAllWake) {
     event ev(s);
     int woke = 0;
     for (int i = 0; i < 5; ++i) {
-        s.spawn("w" + std::to_string(i), [&] {
+        s.spawn(std::string("w").append(std::to_string(i)), [&] {
             ev.wait();
             ++woke;
         });

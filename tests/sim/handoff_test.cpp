@@ -13,6 +13,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -87,12 +88,14 @@ mixed_outcome mixed_run(unsigned seed) {
     };
 
     for (int k = 0; k < kWorkers; ++k) {
-        s.spawn("w" + std::to_string(k), [&, k] {
+        s.spawn(std::string("w").append(std::to_string(k)), [&, k] {
             std::mt19937 rng(seed * 97u + unsigned(k));
             process* child = nullptr;
             for (int step = 0; step < kSteps; ++step) {
                 if (k % 4 == 0 && step == kSteps / 2) {
-                    child = &s.spawn("c" + std::to_string(k), [&, k] {
+                    std::string name = "c";
+                    name += std::to_string(k);
+                    child = &s.spawn(std::move(name), [&, k] {
                         std::mt19937 crng(seed * 31u + unsigned(k));
                         for (int cs = 0; cs < kSteps / 3; ++cs) {
                             note(random_op(crng, 100 + k, cs));

@@ -106,7 +106,7 @@ outcome random_workers(mode m, unsigned seed) {
     const auto flag_total = [&] { return flags[0] + flags[1] + flags[2]; };
 
     for (int k = 0; k < kWorkers; ++k) {
-        s.spawn("w" + std::to_string(k), [&, k] {
+        s.spawn(std::string("w").append(std::to_string(k)), [&, k] {
             std::mt19937 rng(seed * 31u + unsigned(k));
             for (int step = 0; step < kSteps; ++step) {
                 const auto op = std::int64_t(rng() % 5);
@@ -126,7 +126,8 @@ outcome random_workers(mode m, unsigned seed) {
                         go.set();
                         break;
                 }
-                log.push_back({"w" + std::to_string(k), now(), op});
+                log.push_back(
+                    {std::string("w").append(std::to_string(k)), now(), op});
             }
             go.set();
             if (++finished == kWorkers) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 namespace aurora {
 namespace {
 
@@ -43,6 +46,9 @@ TEST(Units, FormatNs) {
 
 TEST(Units, FormatNsNegative) {
     EXPECT_EQ(format_ns(-6100), "-6.10 us");
+    // The one value whose magnitude does not fit in int64_t.
+    EXPECT_EQ(format_ns(std::numeric_limits<std::int64_t>::min()),
+              "-9223372037 s");
 }
 
 TEST(Units, BandwidthMath) {
